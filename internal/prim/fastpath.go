@@ -2,12 +2,10 @@ package prim
 
 import "repro/internal/cil"
 
-// This file provides non-erroring fast-path variants of the primitive
-// semantics for callers that have already validated the operation shape —
-// first of all the pre-decoded simulator core (internal/sim), whose
-// steady-state dispatch loop must not pay for error plumbing on operations
-// that cannot fail. Every variant computes bit-identical results to its
-// erroring counterpart; only the failure reporting differs.
+// This file provides the part of the scalar semantics the pre-decoded
+// simulator core (internal/sim) resolves once per decoded instruction, so
+// that its steady-state dispatch loop does not switch on the kind again. The
+// non-erroring vector operations it runs are in vec.go.
 
 // NormMode describes how Normalize(k, ·) re-extends a wrapped value, in a
 // shape that applies with two shifts instead of a per-call kind switch. It
@@ -47,309 +45,4 @@ func (n NormMode) Apply(v int64) int64 {
 		return v << n.Shift >> n.Shift
 	}
 	return int64(uint64(v) << n.Shift >> n.Shift)
-}
-
-// BinaryNoTrap is Binary for operations that cannot trap: every float
-// operation and the integer operations other than Div and Rem. Passing an
-// integer Div/Rem with a zero divisor, or an opcode Binary would reject,
-// returns the zero Scalar instead of an error.
-func BinaryNoTrap(op cil.Opcode, k cil.Kind, a, b Scalar) Scalar {
-	if k.IsFloat() {
-		var r float64
-		switch op {
-		case cil.Add:
-			r = a.F + b.F
-		case cil.Sub:
-			r = a.F - b.F
-		case cil.Mul:
-			r = a.F * b.F
-		case cil.Div:
-			r = a.F / b.F
-		default:
-			return Scalar{}
-		}
-		return Float(k, r)
-	}
-	x, y := a.I, b.I
-	var r int64
-	switch op {
-	case cil.Add:
-		r = x + y
-	case cil.Sub:
-		r = x - y
-	case cil.Mul:
-		r = x * y
-	case cil.Div:
-		if y == 0 {
-			return Scalar{}
-		}
-		if k.IsSigned() {
-			r = x / y
-		} else {
-			r = int64(uint64(x) / uint64(y))
-		}
-	case cil.Rem:
-		if y == 0 {
-			return Scalar{}
-		}
-		if k.IsSigned() {
-			r = x % y
-		} else {
-			r = int64(uint64(x) % uint64(y))
-		}
-	case cil.And:
-		r = x & y
-	case cil.Or:
-		r = x | y
-	case cil.Xor:
-		r = x ^ y
-	case cil.Shl:
-		r = x << (uint64(y) & 63)
-	case cil.Shr:
-		if k.IsSigned() {
-			r = x >> (uint64(y) & 63)
-		} else {
-			r = int64(uint64(x) >> (uint64(y) & 63))
-		}
-	default:
-		return Scalar{}
-	}
-	return Int(k, r)
-}
-
-// CompareNoTrap is Compare restricted to the comparison opcodes, which never
-// fail; other opcodes return false.
-func CompareNoTrap(op cil.Opcode, k cil.Kind, a, b Scalar) bool {
-	var lt, eq bool
-	if k.IsFloat() {
-		lt, eq = a.F < b.F, a.F == b.F
-	} else if k.IsSigned() {
-		lt, eq = a.I < b.I, a.I == b.I
-	} else {
-		lt, eq = uint64(a.I) < uint64(b.I), a.I == b.I
-	}
-	switch op {
-	case cil.CmpEq:
-		return eq
-	case cil.CmpNe:
-		return !eq
-	case cil.CmpLt:
-		return lt
-	case cil.CmpLe:
-		return lt || eq
-	case cil.CmpGt:
-		return !lt && !eq
-	case cil.CmpGe:
-		return !lt
-	}
-	return false
-}
-
-// VecBinaryNoTrap is VecBinary for the element-wise vector operations, none
-// of which can trap (there is no vector division). An opcode VecBinary would
-// reject returns the zero vector. The common element kinds run specialized
-// lane loops with direct little-endian access; results are bit-identical to
-// the generic LaneGet/LaneSet path (integer lanes wrap at the lane width,
-// float lanes follow the same float64-compute-then-round sequence).
-func VecBinaryNoTrap(op cil.Opcode, k cil.Kind, a, b Vec) Vec {
-	var out Vec
-	switch k {
-	case cil.I8:
-		for i := 0; i < 16; i++ {
-			out[i] = byte(vecIntLane(op, int64(int8(a[i])), int64(int8(b[i]))))
-		}
-	case cil.U8:
-		for i := 0; i < 16; i++ {
-			out[i] = byte(vecIntLane(op, int64(a[i]), int64(b[i])))
-		}
-	case cil.I16:
-		for i := 0; i < 16; i += 2 {
-			x := int64(int16(uint16(a[i]) | uint16(a[i+1])<<8))
-			y := int64(int16(uint16(b[i]) | uint16(b[i+1])<<8))
-			r := uint16(vecIntLane(op, x, y))
-			out[i], out[i+1] = byte(r), byte(r>>8)
-		}
-	case cil.U16:
-		for i := 0; i < 16; i += 2 {
-			x := int64(uint16(a[i]) | uint16(a[i+1])<<8)
-			y := int64(uint16(b[i]) | uint16(b[i+1])<<8)
-			r := uint16(vecIntLane(op, x, y))
-			out[i], out[i+1] = byte(r), byte(r>>8)
-		}
-	case cil.I32, cil.U32:
-		for off := 0; off < 16; off += 4 {
-			xb := uint32(a[off]) | uint32(a[off+1])<<8 | uint32(a[off+2])<<16 | uint32(a[off+3])<<24
-			yb := uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
-			var x, y int64
-			if k == cil.I32 {
-				x, y = int64(int32(xb)), int64(int32(yb))
-			} else {
-				x, y = int64(xb), int64(yb)
-			}
-			r := uint32(vecIntLane(op, x, y))
-			out[off], out[off+1], out[off+2], out[off+3] = byte(r), byte(r>>8), byte(r>>16), byte(r>>24)
-		}
-	case cil.F32, cil.F64, cil.I64, cil.U64:
-		return vecBinary64(op, k, a, b)
-	default:
-		// Zero-lane kinds (Bool, Ref, Void) produce the zero vector, like
-		// the generic lane loop over zero lanes did.
-	}
-	return out
-}
-
-// vecIntLane applies one element-wise integer operation to two normalized
-// lane values. Results are re-truncated to the lane width by the caller, so
-// wrap-around matches Binary+Normalize exactly; comparisons on normalized
-// int64 values order both signed and unsigned lanes correctly (sub-64-bit
-// unsigned values are non-negative after zero extension).
-func vecIntLane(op cil.Opcode, x, y int64) int64 {
-	switch op {
-	case cil.VAdd:
-		return x + y
-	case cil.VSub:
-		return x - y
-	case cil.VMul:
-		return x * y
-	case cil.VMax:
-		if x > y {
-			return x
-		}
-		return y
-	case cil.VMin:
-		if x < y {
-			return x
-		}
-		return y
-	}
-	return 0
-}
-
-// vecBinary64 handles the 8-byte and float lanes of VecBinaryNoTrap via the
-// generic lane accessors (these kinds have at most 4 lanes, so the generic
-// path is cheap; 64-bit integer comparisons also need their own signedness
-// handling).
-func vecBinary64(op cil.Opcode, k cil.Kind, a, b Vec) Vec {
-	var out Vec
-	lanes := k.Lanes()
-	switch op {
-	case cil.VAdd, cil.VSub, cil.VMul:
-		sop := cil.Add
-		switch op {
-		case cil.VSub:
-			sop = cil.Sub
-		case cil.VMul:
-			sop = cil.Mul
-		}
-		for lane := 0; lane < lanes; lane++ {
-			r := BinaryNoTrap(sop, k, LaneGet(k, a, lane), LaneGet(k, b, lane))
-			LaneSet(k, &out, lane, r)
-		}
-	case cil.VMax, cil.VMin:
-		cmp := cil.CmpGt
-		if op == cil.VMin {
-			cmp = cil.CmpLt
-		}
-		for lane := 0; lane < lanes; lane++ {
-			x, y := LaneGet(k, a, lane), LaneGet(k, b, lane)
-			if !CompareNoTrap(cmp, k, x, y) {
-				x = y
-			}
-			LaneSet(k, &out, lane, x)
-		}
-	}
-	return out
-}
-
-// VecReduceNoTrap is VecReduce restricted to the reduction opcodes, which
-// never fail; other opcodes return the zero Scalar. Like VecBinaryNoTrap,
-// the common element kinds run specialized lane loops; the accumulation
-// order and per-step rounding match the generic path exactly.
-func VecReduceNoTrap(op cil.Opcode, k cil.Kind, v Vec) Scalar {
-	switch op {
-	case cil.VRedAdd, cil.VRedMax, cil.VRedMin:
-	default:
-		return Scalar{}
-	}
-	switch k {
-	case cil.I8, cil.U8, cil.I16, cil.U16, cil.I32, cil.U32:
-		signed := k.IsSigned()
-		sz := k.Size()
-		acc := intLaneAt(v, 0, sz, signed)
-		switch op {
-		case cil.VRedAdd:
-			for off := sz; off < cil.VecBytes; off += sz {
-				acc += intLaneAt(v, off, sz, signed)
-			}
-		case cil.VRedMax:
-			for off := sz; off < cil.VecBytes; off += sz {
-				if x := intLaneAt(v, off, sz, signed); x > acc {
-					acc = x
-				}
-			}
-		default:
-			for off := sz; off < cil.VecBytes; off += sz {
-				if x := intLaneAt(v, off, sz, signed); x < acc {
-					acc = x
-				}
-			}
-		}
-		return Scalar{I: Normalize(cil.ReduceKind(op, k), acc)}
-	}
-	return vecReduceGeneric(op, k, v)
-}
-
-// intLaneAt reads the normalized integer lane starting at byte off (sz is 1,
-// 2 or 4; 8-byte lanes take the generic path).
-func intLaneAt(v Vec, off, sz int, signed bool) int64 {
-	switch sz {
-	case 1:
-		if signed {
-			return int64(int8(v[off]))
-		}
-		return int64(v[off])
-	case 2:
-		bits := uint16(v[off]) | uint16(v[off+1])<<8
-		if signed {
-			return int64(int16(bits))
-		}
-		return int64(bits)
-	default:
-		bits := uint32(v[off]) | uint32(v[off+1])<<8 | uint32(v[off+2])<<16 | uint32(v[off+3])<<24
-		if signed {
-			return int64(int32(bits))
-		}
-		return int64(bits)
-	}
-}
-
-// vecReduceGeneric is the LaneGet-based reduction used for float, 64-bit and
-// degenerate element kinds.
-func vecReduceGeneric(op cil.Opcode, k cil.Kind, v Vec) Scalar {
-	rk := cil.ReduceKind(op, k)
-	lanes := k.Lanes()
-	acc := LaneGet(k, v, 0)
-	for lane := 1; lane < lanes; lane++ {
-		x := LaneGet(k, v, lane)
-		switch op {
-		case cil.VRedAdd:
-			if k.IsFloat() {
-				acc = Float(rk, acc.F+x.F)
-			} else {
-				acc = Scalar{I: acc.I + x.I}
-			}
-		case cil.VRedMax, cil.VRedMin:
-			cmp := cil.CmpGt
-			if op == cil.VRedMin {
-				cmp = cil.CmpLt
-			}
-			if CompareNoTrap(cmp, k, x, acc) {
-				acc = x
-			}
-		}
-	}
-	if !k.IsFloat() {
-		acc.I = Normalize(rk, acc.I)
-	}
-	return acc
 }

@@ -8,7 +8,6 @@ package prim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cil"
 )
@@ -201,100 +200,4 @@ func IsTrue(k cil.Kind, a Scalar) bool {
 		return a.F != 0
 	}
 	return a.I != 0
-}
-
-// Vec is the portable 16-byte virtual vector payload.
-type Vec [cil.VecBytes]byte
-
-// LaneGet reads lane i of the vector interpreted with element kind k.
-func LaneGet(k cil.Kind, v Vec, lane int) Scalar {
-	sz := k.Size()
-	off := lane * sz
-	var bits uint64
-	for b := 0; b < sz; b++ {
-		bits |= uint64(v[off+b]) << (8 * b)
-	}
-	switch k {
-	case cil.F32:
-		return Scalar{F: float64(math.Float32frombits(uint32(bits)))}
-	case cil.F64:
-		return Scalar{F: math.Float64frombits(bits)}
-	default:
-		return Int(k, int64(bits))
-	}
-}
-
-// LaneSet writes lane i of the vector with element kind k.
-func LaneSet(k cil.Kind, v *Vec, lane int, s Scalar) {
-	sz := k.Size()
-	off := lane * sz
-	var bits uint64
-	switch k {
-	case cil.F32:
-		bits = uint64(math.Float32bits(float32(s.F)))
-	case cil.F64:
-		bits = math.Float64bits(s.F)
-	default:
-		bits = uint64(Normalize(k, s.I))
-	}
-	for b := 0; b < sz; b++ {
-		v[off+b] = byte(bits >> (8 * b))
-	}
-}
-
-// VecBinary applies the element-wise vector operation op (cil.VAdd, cil.VSub,
-// cil.VMul, cil.VMax or cil.VMin) with element kind k.
-func VecBinary(op cil.Opcode, k cil.Kind, a, b Vec) (Vec, error) {
-	switch op {
-	case cil.VAdd, cil.VSub, cil.VMul, cil.VMax, cil.VMin:
-		return VecBinaryNoTrap(op, k, a, b), nil
-	}
-	return Vec{}, fmt.Errorf("prim: %s is not an element-wise vector operation", op)
-}
-
-// VecSplat broadcasts the scalar s to all lanes of a vector with element
-// kind k.
-func VecSplat(k cil.Kind, s Scalar) Vec {
-	var out Vec
-	for lane := 0; lane < k.Lanes(); lane++ {
-		LaneSet(k, &out, lane, s)
-	}
-	return out
-}
-
-// VecReduce performs the horizontal reduction op (cil.VRedAdd, cil.VRedMax or
-// cil.VRedMin) over the vector with element kind k. The result kind follows
-// cil.ReduceKind.
-func VecReduce(op cil.Opcode, k cil.Kind, v Vec) (Scalar, error) {
-	rk := cil.ReduceKind(op, k)
-	acc := LaneGet(k, v, 0)
-	for lane := 1; lane < k.Lanes(); lane++ {
-		x := LaneGet(k, v, lane)
-		switch op {
-		case cil.VRedAdd:
-			if k.IsFloat() {
-				acc = Float(rk, acc.F+x.F)
-			} else {
-				acc = Scalar{I: acc.I + x.I}
-			}
-		case cil.VRedMax, cil.VRedMin:
-			cmp := cil.CmpGt
-			if op == cil.VRedMin {
-				cmp = cil.CmpLt
-			}
-			keep, err := Compare(cmp, k, x, acc)
-			if err != nil {
-				return Scalar{}, err
-			}
-			if keep {
-				acc = x
-			}
-		default:
-			return Scalar{}, fmt.Errorf("prim: %s is not a vector reduction", op)
-		}
-	}
-	if !k.IsFloat() {
-		acc.I = Normalize(rk, acc.I)
-	}
-	return acc, nil
 }

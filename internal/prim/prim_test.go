@@ -199,8 +199,9 @@ func TestLaneGetSetRoundTrip(t *testing.T) {
 }
 
 func TestVecBinaryAndSplat(t *testing.T) {
-	a := VecSplat(cil.U8, Int(cil.U8, 200))
-	b := VecSplat(cil.U8, Int(cil.U8, 100))
+	var a, b Vec
+	VecSplat(&a, cil.U8, Int(cil.U8, 200))
+	VecSplat(&b, cil.U8, Int(cil.U8, 100))
 	sum, err := VecBinary(cil.VAdd, cil.U8, a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +222,9 @@ func TestVecBinaryAndSplat(t *testing.T) {
 		t.Error("non-vector opcode must be rejected")
 	}
 
-	fa := VecSplat(cil.F64, Float(cil.F64, 1.5))
-	fb := VecSplat(cil.F64, Float(cil.F64, 2.0))
+	var fa, fb Vec
+	VecSplat(&fa, cil.F64, Float(cil.F64, 1.5))
+	VecSplat(&fb, cil.F64, Float(cil.F64, 2.0))
 	fm, err := VecBinary(cil.VMul, cil.F64, fa, fb)
 	if err != nil || LaneGet(cil.F64, fm, 1).F != 3.0 {
 		t.Error("vmul.f64 wrong")
@@ -254,7 +256,8 @@ func TestVecReduce(t *testing.T) {
 		t.Errorf("vredmin.u8 = %d, want 240", mn.I)
 	}
 
-	fv := VecSplat(cil.F64, Float(cil.F64, 2.5))
+	var fv Vec
+	VecSplat(&fv, cil.F64, Float(cil.F64, 2.5))
 	fs, err := VecReduce(cil.VRedAdd, cil.F64, fv)
 	if err != nil || fs.F != 5.0 {
 		t.Errorf("vredadd.f64 = %v, want 5", fs.F)

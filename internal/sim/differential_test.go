@@ -13,6 +13,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/nisa"
 	"repro/internal/prim"
+	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/target"
 	"repro/internal/vm"
@@ -133,10 +134,11 @@ func runRef(m *refMachine, k kernels.Kernel, in *kernels.Inputs) (sim.Value, sim
 
 // refMachine re-implements the simulator's original generic dispatch loop:
 // per-instruction dispatch on nisa.Instr, generic prim.Binary/Compare/Unary
-// calls for the scalar semantics, LaneGet/LaneSet lane loops for the vector
+// calls for the scalar semantics, byte-at-a-time lane loops for the vector
 // semantics, and freshly allocated frames per activation. It intentionally
-// shares no code with the pre-decoded core beyond the prim generic entry
-// points, so any divergence in either implementation breaks the test.
+// shares no code with the pre-decoded core or with prim's vector unit beyond
+// the prim scalar entry points, so any divergence in either implementation
+// breaks the test.
 type refMachine struct {
 	tgt     *target.Desc
 	prog    *nisa.Program
@@ -325,7 +327,7 @@ func (m *refMachine) exec(f *nisa.Func, args []sim.Value) (sim.Value, error) {
 			}
 			var vec prim.Vec
 			copy(vec[:in.Kind.Size()], m.mem[addr:])
-			s := prim.LaneGet(in.Kind, vec, 0)
+			s := refLaneGet(in.Kind, vec, 0)
 			if in.Rd.Class == nisa.ClassFloat {
 				fr.flts[in.Rd.Index] = s.F
 			} else {
@@ -345,7 +347,7 @@ func (m *refMachine) exec(f *nisa.Func, args []sim.Value) (sim.Value, error) {
 				s = prim.Scalar{I: fr.ints[in.Rd.Index]}
 			}
 			var vec prim.Vec
-			prim.LaneSet(in.Kind, &vec, 0, s)
+			refLaneSet(in.Kind, &vec, 0, s)
 			copy(m.mem[addr:addr+int64(in.Kind.Size())], vec[:in.Kind.Size()])
 			m.stats.Stores++
 			m.stats.Cycles += m.memCost(in.Kind, cost.Store)
@@ -523,7 +525,7 @@ func (m *refMachine) execVector(fr *refFrame, in *nisa.Instr) error {
 		a, b := fr.vecs[in.Ra.Index], fr.vecs[in.Rb.Index]
 		var out prim.Vec
 		for lane := 0; lane < in.Kind.Lanes(); lane++ {
-			x, y := prim.LaneGet(in.Kind, a, lane), prim.LaneGet(in.Kind, b, lane)
+			x, y := refLaneGet(in.Kind, a, lane), refLaneGet(in.Kind, b, lane)
 			var r prim.Scalar
 			switch in.Op {
 			case nisa.VAdd, nisa.VSub, nisa.VMul:
@@ -548,7 +550,7 @@ func (m *refMachine) execVector(fr *refFrame, in *nisa.Instr) error {
 					r = y
 				}
 			}
-			prim.LaneSet(in.Kind, &out, lane, r)
+			refLaneSet(in.Kind, &out, lane, r)
 		}
 		fr.vecs[in.Rd.Index] = out
 		if in.Op == nisa.VMul {
@@ -565,7 +567,7 @@ func (m *refMachine) execVector(fr *refFrame, in *nisa.Instr) error {
 		}
 		var out prim.Vec
 		for lane := 0; lane < in.Kind.Lanes(); lane++ {
-			prim.LaneSet(in.Kind, &out, lane, s)
+			refLaneSet(in.Kind, &out, lane, s)
 		}
 		fr.vecs[in.Rd.Index] = out
 		m.stats.Cycles += int64(c.VecSplat)
@@ -575,9 +577,9 @@ func (m *refMachine) execVector(fr *refFrame, in *nisa.Instr) error {
 		}[in.Op]
 		rk := cil.ReduceKind(op, in.Kind)
 		v := fr.vecs[in.Ra.Index]
-		acc := prim.LaneGet(in.Kind, v, 0)
+		acc := refLaneGet(in.Kind, v, 0)
 		for lane := 1; lane < in.Kind.Lanes(); lane++ {
-			x := prim.LaneGet(in.Kind, v, lane)
+			x := refLaneGet(in.Kind, v, lane)
 			switch op {
 			case cil.VRedAdd:
 				if in.Kind.IsFloat() {
@@ -644,6 +646,39 @@ func refFPUCost(c *target.CostModel, op nisa.Op) int64 {
 	}
 }
 
+// refLaneGet and refLaneSet assemble one lane byte by byte, independently of
+// the lane-typed accessors in internal/prim.
+func refLaneGet(k cil.Kind, v prim.Vec, lane int) prim.Scalar {
+	sz := k.Size()
+	var bits uint64
+	for b := 0; b < sz; b++ {
+		bits |= uint64(v[lane*sz+b]) << (8 * b)
+	}
+	switch k {
+	case cil.F32:
+		return prim.Scalar{F: float64(math.Float32frombits(uint32(bits)))}
+	case cil.F64:
+		return prim.Scalar{F: math.Float64frombits(bits)}
+	}
+	return prim.Int(k, int64(bits))
+}
+
+func refLaneSet(k cil.Kind, v *prim.Vec, lane int, s prim.Scalar) {
+	sz := k.Size()
+	var bits uint64
+	switch k {
+	case cil.F32:
+		bits = uint64(math.Float32bits(float32(s.F)))
+	case cil.F64:
+		bits = math.Float64bits(s.F)
+	default:
+		bits = uint64(prim.Normalize(k, s.I))
+	}
+	for b := 0; b < sz; b++ {
+		v[lane*sz+b] = byte(bits >> (8 * b))
+	}
+}
+
 func refUint64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
@@ -652,5 +687,239 @@ func refUint64(b []byte) uint64 {
 func refPutUint64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))
+	}
+}
+
+// vectorLaneProgram hand-writes, for one wide element kind and one
+// element-wise operation, the loop the JIT never emits for the Table 1
+// kernels but the vector unit must still get right:
+//
+//	lanes(a, b, out, red, n, s):
+//	    vs = vsplat(s)
+//	    for i = 0; i < n; i += lanes {
+//	        v3 = op(op(a[i..], b[i..]), vs); out[i..] = v3
+//	        red[j+1], red[j+2], red[j] = vredmax(v3), vredmin(v3), vredadd(v3); j += 3
+//	    }
+//	    return the last vredadd
+//
+// The second vload is followed by a vector op and the second vector op by
+// the vstore, so tier 2 fuses both vector pairs.
+func vectorLaneProgram(k cil.Kind, op nisa.Op) *nisa.Program {
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
+	v := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassVec, Index: i} }
+	// Scalars of the element kind (the splat source, the reduction result)
+	// live in the float file for F32/F64, the integer file otherwise. The
+	// integer file is kept to ten registers, all the smallest target has.
+	sc := func(i int) nisa.Reg {
+		if k.IsFloat() {
+			return nisa.Reg{Class: nisa.ClassFloat, Index: i}
+		}
+		return r(8 + i)
+	}
+	const loop, done = 9, 26
+	f := &nisa.Func{
+		Name: "lanes",
+		Params: []cil.Type{cil.Array(k), cil.Array(k), cil.Array(k), cil.Array(k),
+			cil.Scalar(cil.I32), cil.Scalar(k)},
+		Ret: cil.Scalar(k),
+		Code: []nisa.Instr{
+			{Op: nisa.GetArg, Kind: cil.Ref, Rd: r(0), Imm: 0}, // a
+			{Op: nisa.GetArg, Kind: cil.Ref, Rd: r(1), Imm: 1}, // b
+			{Op: nisa.GetArg, Kind: cil.Ref, Rd: r(2), Imm: 2}, // out
+			{Op: nisa.GetArg, Kind: cil.Ref, Rd: r(3), Imm: 3}, // red
+			{Op: nisa.GetArg, Kind: cil.I32, Rd: r(4), Imm: 4}, // n
+			{Op: nisa.GetArg, Kind: k, Rd: sc(0), Imm: 5},      // s
+			{Op: nisa.VSplat, Kind: k, Rd: v(4), Ra: sc(0)},
+			{Op: nisa.MovImm, Kind: cil.I32, Rd: r(5)}, // i = 0
+			{Op: nisa.MovImm, Kind: cil.I32, Rd: r(6)}, // j = 0
+			{Op: nisa.BranchCmp, Kind: cil.I32, Cond: nisa.CondGe, Ra: r(5), Rb: r(4), Target: done},
+			{Op: nisa.VLoad, Kind: k, Rd: v(0), Ra: r(0), Rb: r(5)},
+			{Op: nisa.VLoad, Kind: k, Rd: v(1), Ra: r(1), Rb: r(5)},
+			{Op: op, Kind: k, Rd: v(2), Ra: v(0), Rb: v(1)},
+			{Op: op, Kind: k, Rd: v(3), Ra: v(2), Rb: v(4)},
+			{Op: nisa.VStore, Kind: k, Rd: v(3), Ra: r(2), Rb: r(5)},
+			{Op: nisa.VRedMax, Kind: k, Rd: sc(1), Ra: v(3)},
+			{Op: nisa.Store, Kind: k, Rd: sc(1), Ra: r(3), Rb: r(6), Imm: 1},
+			{Op: nisa.VRedMin, Kind: k, Rd: sc(1), Ra: v(3)},
+			{Op: nisa.Store, Kind: k, Rd: sc(1), Ra: r(3), Rb: r(6), Imm: 2},
+			{Op: nisa.VRedAdd, Kind: k, Rd: sc(1), Ra: v(3)},
+			{Op: nisa.Store, Kind: k, Rd: sc(1), Ra: r(3), Rb: r(6)},
+			{Op: nisa.MovImm, Kind: cil.I32, Rd: r(7), Imm: int64(k.Lanes())},
+			{Op: nisa.Add, Kind: cil.I32, Rd: r(5), Ra: r(5), Rb: r(7)}, // i += lanes
+			{Op: nisa.MovImm, Kind: cil.I32, Rd: r(7), Imm: 3},
+			{Op: nisa.Add, Kind: cil.I32, Rd: r(6), Ra: r(6), Rb: r(7)}, // j += 3
+			{Op: nisa.Jump, Target: loop},
+			{Op: nisa.Ret, Kind: k, Ra: sc(1)},
+		},
+	}
+	if f.Code[loop].Op != nisa.BranchCmp || f.Code[done].Op != nisa.Ret {
+		panic("vectorLaneProgram: branch targets out of step with the code")
+	}
+	prog := nisa.NewProgram("lanes")
+	prog.Add(f)
+	return prog
+}
+
+// wideLaneBits lists, per wide element kind, the lane patterns worth meeting
+// each other in a vector register: NaNs of both kinds with payloads, signed
+// zeros, infinities, denormals, values whose sums and products round or
+// overflow, the integer extremes and unsigned values above MaxInt64.
+func wideLaneBits(k cil.Kind) []uint64 {
+	switch k {
+	case cil.F32:
+		return []uint64{0x3fc00000, 0xc0100000, 0x7fc00001, 0x00000000, 0x7fa12345, 0x80000000,
+			0x7f800000, 0xff800000, 0x00000001, 0x7f7fffff, 0x3f800001, 0xffc12345, 0x4b800000,
+			0x0da24260, 0xff7fffff, 0x807fffff, 0x42280000}
+	case cil.F64:
+		return []uint64{0x3ff8000000000000, 0xc002000000000000, 0x7ff8000000000001, 0, 0x7ff4000000abcdef,
+			0x8000000000000000, 0x7ff0000000000000, 0xfff0000000000000, 1, 0x7fefffffffffffff,
+			0x3ff0000000000001, 0xfff8deadbeef0001, 0x4340000000000000, 0xffefffffffffffff, 0x4045000000000000}
+	}
+	return []uint64{0, 1, 3, ^uint64(0), 1 << 63, 1<<63 - 1, 1<<63 + 1, ^uint64(0) - 1,
+		0x55AA55AA55AA55AA, 0xAA55AA55AA55AA55, 1 << 32, 42, 0xFFFFFFFF00000000}
+}
+
+// sameFloat compares two floats bit for bit. With hostNaN set, two NaNs are
+// the same whatever their payloads: the value is a sum or product, and when
+// both operands of one are NaNs the host returns the payload of whichever
+// the compiler placed first — which it may decide differently for the
+// lane-typed code and for refMachine's per-lane loop. Lane selection
+// (max/min), subtraction and single-NaN arithmetic have no such freedom.
+func sameFloat(got, want float64, hostNaN bool) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || hostNaN && math.IsNaN(got) && math.IsNaN(want)
+}
+
+// TestWideLaneVectorOpsMatchReference runs vectorLaneProgram for every wide
+// element kind × element-wise operation on every vector target, on a plain
+// machine, on a machine that promotes to fused tier-2 code after the second
+// call, and on refMachine. Results, every array in memory and all nine
+// Stats counters must agree after each call (see sameFloat for the one
+// host-dependent case).
+func TestWideLaneVectorOpsMatchReference(t *testing.T) {
+	ops := []nisa.Op{nisa.VAdd, nisa.VSub, nisa.VMul, nisa.VMax, nisa.VMin}
+	for _, k := range []cil.Kind{cil.F32, cil.F64, cil.I64, cil.U64} {
+		bits := wideLaneBits(k)
+		n := 12 * k.Lanes()
+		arrays := make([]*vm.Array, 4) // a, b, out, red
+		for i := range arrays {
+			arrays[i] = vm.NewArray(k, n)
+		}
+		arrays[3] = vm.NewArray(k, 3*n/k.Lanes())
+		for i := 0; i < n; i++ {
+			for b := 0; b < k.Size(); b++ {
+				arrays[0].Data[i*k.Size()+b] = byte(bits[i%len(bits)] >> (8 * b))
+				arrays[1].Data[i*k.Size()+b] = byte(bits[(i*5+3)%len(bits)] >> (8 * b))
+			}
+		}
+		splats := []sim.Value{sim.IntArg(3), sim.IntArg(-1), sim.IntArg(math.MinInt64)}
+		if k.IsFloat() {
+			splats = []sim.Value{sim.FloatArg(1.5), sim.FloatArg(math.NaN()), sim.FloatArg(math.Copysign(0, -1)), sim.FloatArg(1e300)}
+		}
+		for _, tgt := range target.All() {
+			if !tgt.HasSIMD {
+				continue
+			}
+			for _, op := range ops {
+				t.Run(fmt.Sprintf("%s/%s/%s", k, op, tgt.Arch), func(t *testing.T) {
+					prog := vectorLaneProgram(k, op)
+					plain := sim.New(tgt, prog)
+					tiered := sim.New(tgt, prog)
+					tiered.EnableTiering(profile.Policy{PromoteCalls: 2})
+					ref := newRefMachine(tgt, prog)
+
+					args := func(copyIn func(*vm.Array) int64, s sim.Value) []sim.Value {
+						var av []sim.Value
+						for _, a := range arrays {
+							av = append(av, sim.IntArg(copyIn(a)))
+						}
+						return append(av, sim.IntArg(int64(n)), s)
+					}
+					plainArgs := args(func(a *vm.Array) int64 { return plain.CopyInArray(a) }, sim.Value{})
+					tieredArgs := args(func(a *vm.Array) int64 { return tiered.CopyInArray(a) }, sim.Value{})
+					refArgs := args(ref.copyInArray, sim.Value{})
+
+					for call := 0; call < 2*len(splats); call++ {
+						s := splats[call%len(splats)]
+						plainArgs[5], tieredArgs[5], refArgs[5] = s, s, s
+						want, err := ref.call("lanes", refArgs...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, m := range []struct {
+							name string
+							m    *sim.Machine
+							args []sim.Value
+						}{{"plain", plain, plainArgs}, {"tiered", tiered, tieredArgs}} {
+							got, err := m.m.Call("lanes", m.args...)
+							if err != nil {
+								t.Fatalf("call %d, %s: %v", call, m.name, err)
+							}
+							if got.I != want.I || !sameFloat(got.F, want.F, true) {
+								t.Fatalf("call %d, %s: result %+v, ref %+v", call, m.name, got, want)
+							}
+							if m.m.Stats != ref.stats {
+								t.Fatalf("call %d, %s: stats\n got %+v\n ref %+v", call, m.name, m.m.Stats, ref.stats)
+							}
+							for i, a := range arrays {
+								out := vm.NewArray(a.Elem, a.Len())
+								if err := m.m.CopyOutArray(m.args[i].I, out); err != nil {
+									t.Fatal(err)
+								}
+								refAddr := refArgs[i].I
+								want := &vm.Array{Elem: a.Elem, Data: ref.mem[refAddr : int(refAddr)+len(out.Data)]}
+								for e := 0; e < a.Len(); e++ {
+									// Sums and products may carry either NaN: all of
+									// vadd/vmul's output and what is reduced from it,
+									// and every vredadd slot.
+									hostNaN := i >= 2 && (op == nisa.VAdd || op == nisa.VMul) || i == 3 && e%3 == 0
+									if out.Int(e) != want.Int(e) || !sameFloat(out.Float(e), want.Float(e), hostNaN) {
+										t.Fatalf("call %d, %s: array %d element %d differs from the reference image", call, m.name, i, e)
+									}
+								}
+							}
+						}
+					}
+					if ts := tiered.TierStats(); ts.Promotions != 1 || ts.FusedPairs < 2 {
+						t.Errorf("tier stats = %+v, want one promotion fusing both vector pairs", ts)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFPVectorKernelsSteadyStateZeroAlloc: the float vector kernels of
+// Table 1 on the SIMD target run their in-place vector operations without
+// a single heap allocation per call.
+func TestFPVectorKernelsSteadyStateZeroAlloc(t *testing.T) {
+	tgt := target.MustLookup(target.X86SSE)
+	for _, name := range []string{"vecadd_fp", "saxpy_fp", "dscal_fp"} {
+		res, k, err := core.CompileKernel(name, core.OfflineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, err := core.Deploy(res.Encoded, tgt, jit.Options{RegAlloc: jit.RegAllocSplit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := kernels.NewInputs(name, 256, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args, _ := bench.MarshalKernelArgs(dep.Machine, in)
+		if _, err := dep.Machine.Call(k.Entry, args...); err != nil {
+			t.Fatal(err)
+		}
+		if dep.Machine.Stats.VectorOps == 0 {
+			t.Fatalf("%s executed no vector instruction on %s", name, tgt.Arch)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := dep.Machine.Call(k.Entry, args...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s/%s: %.1f allocs per call, want 0", name, tgt.Arch, allocs)
+		}
 	}
 }

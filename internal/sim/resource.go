@@ -76,11 +76,10 @@ func (e *ResourceError) Error() string {
 	}
 }
 
-// budgetExhausted builds the instruction-budget breach. One cold helper
-// replaces the fmt.Errorf calls that used to be duplicated across the
-// dispatch loop and every fused superinstruction case.
-func budgetExhausted(maxSteps int64, name string) error {
-	return &ResourceError{Kind: ResourceCycles, Limit: maxSteps, Func: name}
+// budgetExhausted builds the instruction-budget breach: one cold helper
+// shared by the dispatch loop and every fused superinstruction case.
+func (m *Machine) budgetExhausted(name string) error {
+	return &ResourceError{Kind: ResourceCycles, Limit: m.maxSteps(), Func: name}
 }
 
 // Fault-injection sites of the simulator (see internal/faultinject):

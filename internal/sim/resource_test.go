@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -50,6 +51,80 @@ func TestBudgetExhaustionIsTyped(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "instruction budget") {
 		t.Errorf("typed budget error lost the historical message: %q", err)
+	}
+}
+
+// countdownProgram holds count(n), a loop that retires exactly 3n+5
+// instructions, and thrice(n), which calls count(n) three times.
+func countdownProgram() *nisa.Program {
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
+	prog := nisa.NewProgram("budget")
+	prog.Add(&nisa.Func{
+		Name:   "count",
+		Params: []cil.Type{cil.Scalar(cil.I32)},
+		Ret:    cil.Scalar(cil.I32),
+		Code: []nisa.Instr{
+			{Op: nisa.GetArg, Kind: cil.I32, Rd: r(0)},
+			{Op: nisa.MovImm, Kind: cil.I32, Rd: r(1), Imm: 1},
+			{Op: nisa.MovImm, Kind: cil.I32, Rd: r(2)},
+			{Op: nisa.BranchCmp, Kind: cil.I32, Cond: nisa.CondLe, Ra: r(0), Rb: r(2), Target: 6},
+			{Op: nisa.Sub, Kind: cil.I32, Rd: r(0), Ra: r(0), Rb: r(1)},
+			{Op: nisa.Jump, Target: 3},
+			{Op: nisa.Ret, Kind: cil.I32, Ra: r(0)},
+		},
+	})
+	call := nisa.Instr{Op: nisa.Call, Sym: "count", Rd: r(1), Args: []nisa.Reg{r(0)}}
+	prog.Add(&nisa.Func{
+		Name:   "thrice",
+		Params: []cil.Type{cil.Scalar(cil.I32)},
+		Ret:    cil.Scalar(cil.I32),
+		Code: []nisa.Instr{
+			{Op: nisa.GetArg, Kind: cil.I32, Rd: r(0)},
+			call, call, call,
+			{Op: nisa.Ret, Kind: cil.I32, Ra: r(1)},
+		},
+	})
+	return prog
+}
+
+// TestInstructionBudgetIsPerTopLevelCall: MaxSteps bounds one Call, not the
+// machine's lifetime. A long-lived machine keeps answering calls that fit
+// the budget, a single call one instruction over it still fails typed, and
+// the activations nested under one Call draw on the same budget.
+func TestInstructionBudgetIsPerTopLevelCall(t *testing.T) {
+	m := New(target.MustLookup(target.PPC), countdownProgram())
+	m.MaxSteps = 1000
+	for call := 0; call < 10000; call++ {
+		before := m.Stats.Instructions
+		if _, err := m.Call("count", IntArg(165)); err != nil {
+			t.Fatalf("call %d of a 500-instruction function: %v", call, err)
+		}
+		if got := m.Stats.Instructions - before; got != 500 {
+			t.Fatalf("count(165) retired %d instructions, want 500", got)
+		}
+	}
+	wantBudgetError := func(what string, err error) {
+		t.Helper()
+		var re *ResourceError
+		if !errors.As(err, &re) || re.Kind != ResourceCycles || re.Limit != 1000 {
+			t.Fatalf("%s = %v, want the typed budget error with Limit 1000", what, err)
+		}
+	}
+	before := m.Stats.Instructions
+	_, err := m.Call("count", IntArg(332)) // 1001 instructions
+	wantBudgetError("a 1001-instruction call", err)
+	if got := m.Stats.Instructions - before; got != 1000 {
+		t.Errorf("the failed call retired %d instructions, want exactly the budget", got)
+	}
+	_, err = m.Call("thrice", IntArg(165)) // three 500-instruction activations
+	wantBudgetError("three nested 500-instruction calls", err)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = m.CallContext(ctx, "count", IntArg(332))
+	wantBudgetError("a 1001-instruction CallContext", err)
+	if _, err := m.CallContext(ctx, "count", IntArg(165)); err != nil {
+		t.Fatalf("a machine that exhausted a budget refuses the next call: %v", err)
 	}
 }
 

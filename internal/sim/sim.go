@@ -65,8 +65,10 @@ type Machine struct {
 	Target  *target.Desc
 	Program *nisa.Program
 
-	// MaxSteps aborts execution after this many instructions (a safety net
-	// against generated infinite loops); 0 means the default of 2e9.
+	// MaxSteps aborts a top-level Call or CallContext after this many
+	// instructions, nested calls included (a safety net against generated
+	// infinite loops); 0 means the default of 2e9. Every top-level call
+	// starts with a full budget, however long the machine has lived.
 	MaxSteps int64
 
 	// MemLimit bounds the guest memory the machine may consume (simulated
@@ -101,10 +103,15 @@ type Machine struct {
 	// runCtx, when set by CallContext, is polled every interruptStride
 	// instructions so a cancelled context aborts execution between
 	// instructions. interruptAt is the instruction count of the next poll;
-	// math.MaxInt64 — the Call default — disables polling, keeping the
-	// uncancellable path at one always-false compare per instruction.
+	// math.MaxInt64 — the Call default — disables polling.
 	runCtx      context.Context
 	interruptAt int64
+	// budgetEnd is the instruction count at which the running top-level
+	// call has used up MaxSteps. stopAt is the earlier of budgetEnd and
+	// interruptAt: the one compare the dispatch loop makes per instruction
+	// (see stopCheck).
+	budgetEnd int64
+	stopAt    int64
 
 	// resolver, when set, supplies functions the program does not hold yet:
 	// the lazy-JIT trampoline. A call to an unknown symbol asks the resolver
@@ -152,14 +159,15 @@ func (m *Machine) resolve(sym string) (*nisa.Func, error) {
 const interruptStride = 16384
 
 const (
-	arrayHeader  = 8 // length (4 bytes) + padding to keep data 8-aligned
-	maxCallDepth = 512
+	arrayHeader     = 8 // length (4 bytes) + padding to keep data 8-aligned
+	maxCallDepth    = 512
+	defaultMaxSteps = 2_000_000_000
 )
 
 // New returns a machine for the target and program. The initial heap is
 // small and grows on demand.
 func New(t *target.Desc, prog *nisa.Program) *Machine {
-	m := &Machine{Target: t, Program: prog, MaxSteps: 2_000_000_000, interruptAt: math.MaxInt64}
+	m := &Machine{Target: t, Program: prog, MaxSteps: defaultMaxSteps, interruptAt: math.MaxInt64}
 	// Address 0 is the null reference; start the heap past it.
 	m.mem = make([]byte, 64)
 	// The JIT reserves a few scratch registers beyond the allocatable files.
@@ -279,7 +287,38 @@ func (m *Machine) Call(name string, args ...Value) (Value, error) {
 	for i, a := range args {
 		av[i] = argval{i: a.I, f: a.F}
 	}
+	if m.callDep == 0 {
+		m.budgetEnd = math.MaxInt64 // a budget too large to ever run out
+		if steps := m.maxSteps(); steps < math.MaxInt64-m.Stats.Instructions {
+			m.budgetEnd = m.Stats.Instructions + steps
+		}
+	}
+	m.stopAt = min(m.budgetEnd, m.interruptAt)
 	return m.exec(f, av)
+}
+
+// maxSteps is the instruction budget of one top-level call.
+func (m *Machine) maxSteps() int64 {
+	if m.MaxSteps == 0 {
+		return defaultMaxSteps
+	}
+	return m.MaxSteps
+}
+
+// stopCheck runs when the instruction count reaches stopAt: it reports the
+// exhausted budget, or polls the run context and schedules the next poll.
+// Keeping both conditions behind one precomputed limit leaves the dispatch
+// loop a single compare per instruction.
+func (m *Machine) stopCheck(name string) error {
+	if m.Stats.Instructions >= m.budgetEnd {
+		return m.budgetExhausted(name)
+	}
+	if err := m.runCtx.Err(); err != nil {
+		return fmt.Errorf("sim: %s interrupted: %w", name, err)
+	}
+	m.interruptAt += interruptStride
+	m.stopAt = min(m.budgetEnd, m.interruptAt)
+	return nil
 }
 
 // CallContext is Call with cooperative cancellation: once ctx is done, the
@@ -356,10 +395,7 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 			return Value{}, err
 		}
 	}
-	maxSteps := m.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 2_000_000_000
-	}
+	budgetEnd := m.budgetEnd
 	stats := &m.Stats
 	var bcnt []uint64 // branch profile counters; nil keeps tiering free
 	if t := m.tier; t != nil {
@@ -376,14 +412,10 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 		if uint(pc) >= uint(len(code)) {
 			return Value{}, fmt.Errorf("sim: %s: program counter %d out of range", f.Name, pc)
 		}
-		if stats.Instructions >= maxSteps {
-			return Value{}, budgetExhausted(maxSteps, f.Name)
-		}
-		if stats.Instructions >= m.interruptAt {
-			if err := m.runCtx.Err(); err != nil {
-				return Value{}, fmt.Errorf("sim: %s interrupted: %w", f.Name, err)
+		if stats.Instructions >= m.stopAt {
+			if err := m.stopCheck(f.Name); err != nil {
+				return Value{}, err
 			}
-			m.interruptAt += interruptStride
 		}
 		d := &code[pc]
 		stats.Instructions++
@@ -758,9 +790,7 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 			if !ok {
 				return Value{}, m.memFault(f, pc, fr, d)
 			}
-			var v prim.Vec
-			copy(v[:], m.mem[addr:addr+cil.VecBytes])
-			fr.vecs[d.rd] = v
+			fr.vecs[d.rd].Load(m.mem[addr:])
 			stats.Loads++
 			stats.Cycles += int64(d.cost)
 		case xVStore:
@@ -769,29 +799,28 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 			if !ok {
 				return Value{}, m.memFault(f, pc, fr, d)
 			}
-			v := fr.vecs[d.rd]
-			copy(m.mem[addr:addr+cil.VecBytes], v[:])
+			fr.vecs[d.rd].Store(m.mem[addr:])
 			stats.Stores++
 			stats.Cycles += int64(d.cost)
 		case xVBin:
 			stats.VectorOps++
-			fr.vecs[d.rd] = prim.VecBinaryNoTrap(d.vop, d.kind, fr.vecs[d.ra], fr.vecs[d.rb])
+			prim.VecBinaryNoTrap(&fr.vecs[d.rd], d.vop, d.kind, &fr.vecs[d.ra], &fr.vecs[d.rb])
 			stats.Cycles += int64(d.cost)
 		case xVSplatInt:
 			stats.VectorOps++
-			fr.vecs[d.rd] = prim.VecSplat(d.kind, prim.Scalar{I: fr.ints[d.ra]})
+			prim.VecSplat(&fr.vecs[d.rd], d.kind, prim.Scalar{I: fr.ints[d.ra]})
 			stats.Cycles += int64(d.cost)
 		case xVSplatFloat:
 			stats.VectorOps++
-			fr.vecs[d.rd] = prim.VecSplat(d.kind, prim.Scalar{F: fr.flts[d.ra]})
+			prim.VecSplat(&fr.vecs[d.rd], d.kind, prim.Scalar{F: fr.flts[d.ra]})
 			stats.Cycles += int64(d.cost)
 		case xVRedInt:
 			stats.VectorOps++
-			fr.ints[d.rd] = prim.VecReduceNoTrap(d.vop, d.kind, fr.vecs[d.ra]).I
+			fr.ints[d.rd] = prim.VecReduceNoTrap(d.vop, d.kind, &fr.vecs[d.ra]).I
 			stats.Cycles += int64(d.cost)
 		case xVRedFloat:
 			stats.VectorOps++
-			fr.flts[d.rd] = prim.VecReduceNoTrap(d.vop, d.kind, fr.vecs[d.ra]).F
+			fr.flts[d.rd] = prim.VecReduceNoTrap(d.vop, d.kind, &fr.vecs[d.ra]).F
 			stats.Cycles += int64(d.cost)
 
 		case xAluGeneric:
@@ -820,7 +849,7 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 			if !ok {
 				return Value{}, m.memFault(f, pc, fr, d)
 			}
-			s := m.loadScalar(d.kind, int(addr))
+			s := prim.LoadScalar(d.kind, m.mem[addr:])
 			if d.dstFloat {
 				fr.flts[d.rd] = s.F
 			} else {
@@ -839,7 +868,7 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 			} else {
 				s = prim.Scalar{I: fr.ints[d.rd]}
 			}
-			m.storeScalar(d.kind, int(addr), s)
+			prim.StoreScalar(d.kind, m.mem[addr:], s)
 			stats.Stores++
 			stats.Cycles += int64(d.cost)
 
@@ -851,8 +880,8 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 		case xFusedMovImmAdd:
 			fr.ints[d.rd] = d.imm
 			stats.Cycles += int64(d.cost)
-			if stats.Instructions >= maxSteps {
-				return Value{}, budgetExhausted(maxSteps, f.Name)
+			if stats.Instructions >= budgetEnd {
+				return Value{}, m.budgetExhausted(f.Name)
 			}
 			stats.Instructions++
 			d2 := &code[pc+1]
@@ -863,8 +892,8 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 		case xFusedAddMov:
 			fr.ints[d.rd] = d.norm.Apply(fr.ints[d.ra] + fr.ints[d.rb])
 			stats.Cycles += int64(d.cost)
-			if stats.Instructions >= maxSteps {
-				return Value{}, budgetExhausted(maxSteps, f.Name)
+			if stats.Instructions >= budgetEnd {
+				return Value{}, m.budgetExhausted(f.Name)
 			}
 			stats.Instructions++
 			d2 := &code[pc+1]
@@ -875,8 +904,8 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 		case xFusedMovJump:
 			fr.ints[d.rd] = fr.ints[d.ra]
 			stats.Cycles += int64(d.cost)
-			if stats.Instructions >= maxSteps {
-				return Value{}, budgetExhausted(maxSteps, f.Name)
+			if stats.Instructions >= budgetEnd {
+				return Value{}, m.budgetExhausted(f.Name)
 			}
 			stats.Instructions++
 			d2 := &code[pc+1]
@@ -893,27 +922,25 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 			if !ok {
 				return Value{}, m.memFault(f, pc, fr, d)
 			}
-			var v prim.Vec
-			copy(v[:], m.mem[addr:addr+cil.VecBytes])
-			fr.vecs[d.rd] = v
+			fr.vecs[d.rd].Load(m.mem[addr:])
 			stats.Loads++
 			stats.Cycles += int64(d.cost)
-			if stats.Instructions >= maxSteps {
-				return Value{}, budgetExhausted(maxSteps, f.Name)
+			if stats.Instructions >= budgetEnd {
+				return Value{}, m.budgetExhausted(f.Name)
 			}
 			stats.Instructions++
 			d2 := &code[pc+1]
 			stats.VectorOps++
-			fr.vecs[d2.rd] = prim.VecBinaryNoTrap(d2.vop, d2.kind, fr.vecs[d2.ra], fr.vecs[d2.rb])
+			prim.VecBinaryNoTrap(&fr.vecs[d2.rd], d2.vop, d2.kind, &fr.vecs[d2.ra], &fr.vecs[d2.rb])
 			stats.Cycles += int64(d2.cost)
 			next = pc + 2
 
 		case xFusedVBinVStore:
 			stats.VectorOps++
-			fr.vecs[d.rd] = prim.VecBinaryNoTrap(d.vop, d.kind, fr.vecs[d.ra], fr.vecs[d.rb])
+			prim.VecBinaryNoTrap(&fr.vecs[d.rd], d.vop, d.kind, &fr.vecs[d.ra], &fr.vecs[d.rb])
 			stats.Cycles += int64(d.cost)
-			if stats.Instructions >= maxSteps {
-				return Value{}, budgetExhausted(maxSteps, f.Name)
+			if stats.Instructions >= budgetEnd {
+				return Value{}, m.budgetExhausted(f.Name)
 			}
 			stats.Instructions++
 			d2 := &code[pc+1]
@@ -922,8 +949,7 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 			if !ok {
 				return Value{}, m.memFault(f, pc+1, fr, d2)
 			}
-			v := fr.vecs[d2.rd]
-			copy(m.mem[addr:addr+cil.VecBytes], v[:])
+			fr.vecs[d2.rd].Store(m.mem[addr:])
 			stats.Stores++
 			stats.Cycles += int64(d2.cost)
 			next = pc + 2
@@ -933,22 +959,6 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 		}
 		pc = next
 	}
-}
-
-// loadScalar is the generic scalar load used by the slow path (unusual
-// kind/class combinations); the common kinds load directly in the dispatch
-// loop.
-func (m *Machine) loadScalar(k cil.Kind, addr int) prim.Scalar {
-	var vec prim.Vec
-	copy(vec[:k.Size()], m.mem[addr:addr+k.Size()])
-	return prim.LaneGet(k, vec, 0)
-}
-
-// storeScalar is the generic scalar store counterpart of loadScalar.
-func (m *Machine) storeScalar(k cil.Kind, addr int, s prim.Scalar) {
-	var vec prim.Vec
-	prim.LaneSet(k, &vec, 0, s)
-	copy(m.mem[addr:addr+k.Size()], vec[:k.Size()])
 }
 
 // memCost charges a scalar memory access, including the target's sub-word and

@@ -185,8 +185,8 @@ func TestTieredBudgetTrapIdentical(t *testing.T) {
 	for extra := int64(1); extra <= 8; extra++ {
 		plain.ResetStats()
 		tiered.ResetStats()
-		plain.MaxSteps = plain.Stats.Instructions + 20 + extra
-		tiered.MaxSteps = tiered.Stats.Instructions + 20 + extra
+		plain.MaxSteps = 20 + extra
+		tiered.MaxSteps = 20 + extra
 		_, errP := plain.Call("sum", IntArg(int64(addrP)), IntArg(10))
 		_, errT := tiered.Call("sum", IntArg(int64(addrT)), IntArg(10))
 		if errP == nil || errT == nil {

@@ -254,7 +254,9 @@ func (rt *Runtime) call(m *cil.Method, args []Value, depth int) (Value, error) {
 			push(VecValue(r))
 		case cil.VSplat:
 			a := pop()
-			push(VecValue(prim.VecSplat(in.Kind, a.S)))
+			var v prim.Vec
+			prim.VecSplat(&v, in.Kind, a.S)
+			push(VecValue(v))
 		case cil.VRedAdd, cil.VRedMax, cil.VRedMin:
 			a := pop()
 			r, err := prim.VecReduce(in.Op, in.Kind, a.Vec)

@@ -101,7 +101,7 @@ func (a *Array) Get(i int) (prim.Scalar, error) {
 	if err := a.check(i, 1); err != nil {
 		return prim.Scalar{}, err
 	}
-	return loadScalar(a.Elem, a.Data[i*a.Elem.Size():]), nil
+	return prim.LoadScalar(a.Elem, a.Data[i*a.Elem.Size():]), nil
 }
 
 // Set writes element i from a scalar.
@@ -109,7 +109,7 @@ func (a *Array) Set(i int, s prim.Scalar) error {
 	if err := a.check(i, 1); err != nil {
 		return err
 	}
-	storeScalar(a.Elem, a.Data[i*a.Elem.Size():], s)
+	prim.StoreScalar(a.Elem, a.Data[i*a.Elem.Size():], s)
 	return nil
 }
 
@@ -158,18 +158,4 @@ func (a *Array) Float(i int) float64 {
 		panic(err)
 	}
 	return s.F
-}
-
-// loadScalar reads one element of kind k from the head of buf.
-func loadScalar(k cil.Kind, buf []byte) prim.Scalar {
-	var vec prim.Vec
-	copy(vec[:k.Size()], buf[:k.Size()])
-	return prim.LaneGet(k, vec, 0)
-}
-
-// storeScalar writes one element of kind k to the head of buf.
-func storeScalar(k cil.Kind, buf []byte, s prim.Scalar) {
-	var vec prim.Vec
-	prim.LaneSet(k, &vec, 0, s)
-	copy(buf[:k.Size()], vec[:k.Size()])
 }

@@ -80,7 +80,8 @@ func TestArrayVectorAccess(t *testing.T) {
 	}
 
 	f := NewArray(cil.F64, 3)
-	vv := prim.VecSplat(cil.F64, prim.Float(cil.F64, 1.25))
+	var vv prim.Vec
+	prim.VecSplat(&vv, cil.F64, prim.Float(cil.F64, 1.25))
 	if err := f.SetVec(0, vv); err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ type Stats struct {
 	// rewritten — entries are immutable).
 	Writes int64 `json:"writes"`
 	// Corrupt counts entries rejected by the header or checksum check, at
-	// Open or on read.
+	// Open or on read, and entries the caller rejected with Remove.
 	Corrupt int64 `json:"corrupt"`
 	// Errors counts filesystem failures (full disk, permissions) that made
 	// a Put or Get degrade to a no-op.
@@ -231,6 +231,19 @@ func (s *Store) miss(key string, corrupt, notExist bool) {
 func (s *Store) drop(key, path string) {
 	_ = os.Remove(path)
 	s.miss(key, true, false)
+}
+
+// Remove rejects the entry Get just returned for key: its framing and
+// checksum were intact, but the caller could not decode or use the payload.
+// The file and the index entry go — otherwise Put, which never rewrites an
+// indexed key, would skip the caller's replacement and every later reader
+// would hit the same unusable bytes — and the hit is reclassified as a
+// corrupt miss, keeping "a corrupt entry is a miss" true of the counters.
+func (s *Store) Remove(key string) {
+	s.drop(key, s.path(key))
+	s.mu.Lock()
+	s.stats.Hits--
+	s.mu.Unlock()
 }
 
 // Put stores payload under key, atomically: the bytes are written to a temp

@@ -42,6 +42,36 @@ func TestEntriesAreImmutable(t *testing.T) {
 	}
 }
 
+// TestRemoveLetsPutReplace: an entry its reader rejected (checksum fine,
+// payload unusable) must leave the file system and the index, be counted as
+// a corrupt miss rather than a hit, and not block the replacement Put.
+func TestRemoveLetsPutReplace(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("k", []byte("unusable"))
+	s.Put("other", []byte("kept"))
+	if _, ok := s.Get("k"); !ok {
+		t.Fatal("Get missed a fresh entry")
+	}
+	s.Remove("k")
+	if s.Has("k") {
+		t.Error("removed key still indexed")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "k"+entrySuffix)); !os.IsNotExist(err) {
+		t.Errorf("removed entry still on disk (stat err %v)", err)
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.Corrupt != 1 || st.Entries != 1 || st.Bytes != 4 {
+		t.Errorf("stats after Remove = %+v, want the hit reclassified as a corrupt miss", st)
+	}
+	s.Put("k", []byte("replacement"))
+	if got, ok := s.Get("k"); !ok || string(got) != "replacement" {
+		t.Fatalf("Get after replacement = %q, %v", got, ok)
+	}
+}
+
 func TestReopenRecoversIndex(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -11,6 +11,7 @@ package nisa
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cil"
@@ -449,11 +450,7 @@ func sortedNames(m map[string]*Func) []string {
 	for n := range m {
 		names = append(names, n)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	slices.Sort(names)
 	return names
 }
 

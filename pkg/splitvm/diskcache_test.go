@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/diskcache"
 	"repro/internal/target"
 )
 
@@ -33,6 +34,25 @@ func cacheFiles(t *testing.T, dir string) []string {
 		}
 	}
 	return out
+}
+
+// plantGarbage replaces the entry file at path with a well-framed entry
+// (valid SVDC header and checksum) whose payload opens with the given format
+// tag and continues as garbage: the store accepts it, only the payload
+// decoder can tell.
+func plantGarbage(t *testing.T, path, format string) {
+	t.Helper()
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	st, err := diskcache.Open(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put(strings.TrimSuffix(filepath.Base(path), ".svdc"), []byte(format+"\x02\x04\x03x86\xff\xff\xff\xff\x0f not an image"))
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("garbage entry was not written: %v", err)
+	}
 }
 
 // TestDiskCacheWarmRestart is the acceptance walk: compile+deploy on one
@@ -151,7 +171,9 @@ func TestDiskCacheKeyedByOptions(t *testing.T) {
 }
 
 // TestDiskCacheCorruptionFallsBackToCompile covers the degrade-don't-fail
-// contract: truncated and bit-flipped entries must recompile silently.
+// contract: truncated and bit-flipped entries must recompile silently, and
+// so must an entry the store itself cannot fault — intact framing around a
+// payload that does not decode — which must also be replaced, not kept.
 func TestDiskCacheCorruptionFallsBackToCompile(t *testing.T) {
 	corruptions := []struct {
 		name string
@@ -180,6 +202,9 @@ func TestDiskCacheCorruptionFallsBackToCompile(t *testing.T) {
 			if err := os.WriteFile(path, nil, 0o644); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		{"valid frame, garbage payload", func(t *testing.T, path string) {
+			plantGarbage(t, path, diskFormat)
 		}},
 	}
 	for _, tc := range corruptions {
@@ -216,6 +241,9 @@ func TestDiskCacheCorruptionFallsBackToCompile(t *testing.T) {
 			if cs := warm.CompileStats(); cs.Compilations != 1 {
 				t.Errorf("compilations = %d, want 1 (fallback recompile)", cs.Compilations)
 			}
+			if ds := warm.CacheStats().Disk; ds.Corrupt != 1 || ds.Hits != 0 || ds.Writes != 1 {
+				t.Errorf("disk stats = %+v, want 1 corrupt entry, no hit, 1 replacement write", *ds)
+			}
 			got, err := dep2.Run("sumsq", IntArg(100))
 			if err != nil {
 				t.Fatal(err)
@@ -232,6 +260,73 @@ func TestDiskCacheCorruptionFallsBackToCompile(t *testing.T) {
 			}
 			if !dep3.FromCache() {
 				t.Error("entry was not re-persisted after the fallback recompile")
+			}
+		})
+	}
+}
+
+// TestDiskCacheMismatchedEntryIsAMiss: an entry that decodes cleanly but
+// was compiled from something else — a method of the same name with another
+// signature, or the same module for another target — must be a miss at
+// deploy time (and be replaced), not a marshalling error at run time.
+func TestDiskCacheMismatchedEntryIsAMiss(t *testing.T) {
+	otherSignature := strings.Replace(diskTestSource, "sumsq(i32 n)", "sumsq(i64 n)", 1)
+	cases := []struct {
+		name, source string
+		arch         target.Arch
+	}{
+		{"other signature", otherSignature, target.X86SSE},
+		{"other target", diskTestSource, target.MCU},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The entry under test, and a valid entry of the other compilation.
+			dir, donorDir := t.TempDir(), t.TempDir()
+			cold := New(WithDiskCache(dir))
+			mod, err := cold.Compile(diskTestSource)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cold.Deploy(mod, WithTarget(target.X86SSE)); err != nil {
+				t.Fatal(err)
+			}
+			donor := New(WithDiskCache(donorDir))
+			donorMod, err := donor.Compile(tc.source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := donor.Deploy(donorMod, WithTarget(tc.arch)); err != nil {
+				t.Fatal(err)
+			}
+			files, donorFiles := cacheFiles(t, dir), cacheFiles(t, donorDir)
+			if len(files) != 1 || len(donorFiles) != 1 {
+				t.Fatalf("%d and %d cache files, want 1 and 1", len(files), len(donorFiles))
+			}
+			data, err := os.ReadFile(donorFiles[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(files[0], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			warm := New(WithDiskCache(dir))
+			dep, err := warm.Deploy(mod, WithTarget(target.X86SSE))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dep.FromCache() {
+				t.Fatal("mismatched entry was served as a cache hit")
+			}
+			if ds := warm.CacheStats().Disk; ds.Corrupt != 1 || ds.Hits != 0 {
+				t.Errorf("disk stats = %+v, want the entry rejected as corrupt", *ds)
+			}
+			if res, err := dep.Run("sumsq", IntArg(50)); err != nil || res.I != 42925 {
+				t.Errorf("run = %v, %v", res, err)
+			}
+			next := New(WithDiskCache(dir))
+			if dep, err := next.Deploy(mod, WithTarget(target.X86SSE)); err != nil || !dep.FromCache() {
+				t.Errorf("entry was not replaced after the mismatch (err %v)", err)
 			}
 		})
 	}

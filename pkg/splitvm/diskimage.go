@@ -1,18 +1,21 @@
 package splitvm
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/anno"
+	"repro/internal/cil"
 	"repro/internal/core"
 	"repro/internal/diskcache"
 	"repro/internal/jit"
 	"repro/internal/nisa"
 	"repro/internal/target"
+	"repro/internal/wire"
 )
 
 // The persistent half of the code cache. With WithDiskCache(dir) an engine
@@ -29,25 +32,38 @@ import (
 // simply dropped from memory — the disk copy is the durable one). Disk
 // contents are advisory by the same "degrade, don't fail" policy as
 // annotations: corrupt, truncated or schema-incompatible entries fall back
-// to recompilation, never surface as deployment errors.
+// to recompilation, never surface as deployment errors — and an entry that
+// passes the store's checksum but fails decoding or the sanity checks here
+// is removed from the store, so the recompilation's write-through replaces
+// it instead of being skipped as a duplicate.
+//
+// Both entry kinds carry native code in the one binary codec of
+// internal/nisa (canonical, structurally validated on decode):
+//
+//	image   "svdc-img-v2", varint JITSteps, varint CompileNanos,
+//	        program (nisa.AppendProgram; carries the target name),
+//	        uvarint AnnotationFallbacks, uvarint n, n × outcome
+//	outcome string Method, string Key, uvarint Version,
+//	        byte flags (1 = Enveloped, 2 = Fallback), string Reason
+//	method  "svdc-mth-v2", varint CompileNanos, function (nisa.AppendFunc)
+//
+// Nothing may follow the last field. There is no reader for older formats:
+// their entries live under differently salted names and age out as misses.
 
-// diskFormat versions the serialized image payload; bumping it orphans old
-// entries (they fail to decode and are recompiled — never an error).
-const diskFormat = "svdc-img-v1"
+// diskFormat and diskMethodFormat version the two payloads (whole image;
+// one lazily compiled method). Each both opens its payload and salts the
+// entry names, so a schema bump starts a fresh namespace: old entries are
+// never read, let alone misread.
+const (
+	diskFormat       = "svdc-img-v2"
+	diskMethodFormat = "svdc-mth-v2"
+)
 
-// diskImage is the serialized form of one cached compilation: everything an
-// Image carries except the module (the caller always has the decoded,
-// verified module — it is the thing being deployed) and the target
-// descriptor (part of the cache key).
-type diskImage struct {
-	Format              string
-	TargetName          string
-	Program             *nisa.Program
-	JITSteps            int64
-	CompileNanos        int64
-	AnnotationOutcomes  []anno.MethodOutcome
-	AnnotationFallbacks int
-}
+// minOutcomeBytes is the shortest encoded outcome (three empty strings, a
+// version and the flags); it bounds the outcome count a payload may declare.
+const minOutcomeBytes = 5
+
+var errDiskEntry = errors.New("splitvm: malformed disk cache entry")
 
 // DiskCacheStats reports the persistent cache layer's traffic (see
 // CacheStats.Disk).
@@ -55,9 +71,11 @@ type DiskCacheStats = diskcache.Stats
 
 // diskName derives the content address of one cache key: a hex SHA-256 over
 // the module hash, the full target descriptor (every machine parameter —
-// resized register files never share entries, mirroring the in-memory key)
-// and the JIT options, salted with the payload format version so a schema
-// bump starts a fresh namespace instead of mass-invalidating reads.
+// resized register files never share entries, mirroring the in-memory key;
+// %#v so that a field added to target.Desc can never be forgotten here) and
+// the JIT options, salted with the payload format version. Formatting the
+// descriptor reflectively is the expensive part, so Engine.image computes
+// the name once per deployment and hands it to whoever needs it.
 func diskName(key cacheKey) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|%x|%#v|%d|%t|%d|%t", diskFormat,
@@ -65,16 +83,11 @@ func diskName(key cacheKey) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// diskMethodFormat versions the per-method payload the lazy layer persists
-// (one entry per first-call compilation, fleet-wide).
-const diskMethodFormat = "svdc-mth-v1"
-
-// diskMethod is the serialized form of one lazily compiled method.
-type diskMethod struct {
-	Format       string
-	Name         string
-	Func         *nisa.Func
-	CompileNanos int64
+// sameSignature reports whether compiled function f is an implementation of
+// module method m. A stale or colliding entry fails here, at deploy time,
+// instead of as an argument-marshalling error at run time.
+func sameSignature(f *nisa.Func, m *cil.Method) bool {
+	return f.Name == m.Name && f.Ret == m.Ret && slices.Equal(f.Params, m.Params)
 }
 
 // methodStore adapts the engine's disk store to the core.MethodStore
@@ -82,16 +95,14 @@ type diskMethod struct {
 // deploying the same (module, target, options) resolves its first calls
 // against the same per-method entries, so each method JIT-compiles at most
 // once fleet-wide. Same durability contract as whole images: writes are
-// best-effort, corrupt entries degrade to recompilation.
+// best-effort, unusable entries are removed and degrade to recompilation.
 type methodStore struct {
 	disk *diskcache.Store
 	// base is the cache key's content address; method entries are addressed
 	// under it so two modules sharing a method name never collide.
 	base string
-}
-
-func (e *Engine) methodStore(key cacheKey) core.MethodStore {
-	return &methodStore{disk: e.disk, base: diskName(key)}
+	// mod is the module being deployed; entries must match its signatures.
+	mod *cil.Module
 }
 
 func (s *methodStore) entryName(method string) string {
@@ -101,89 +112,136 @@ func (s *methodStore) entryName(method string) string {
 }
 
 func (s *methodStore) GetMethod(name string) (*core.CompiledMethod, bool) {
-	payload, ok := s.disk.Get(s.entryName(name))
+	entry := s.entryName(name)
+	payload, ok := s.disk.Get(entry)
 	if !ok {
 		return nil, false
 	}
-	var dm diskMethod
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&dm); err != nil {
+	cm, err := decodeMethod(payload)
+	if m := s.mod.Method(name); err != nil || m == nil || !sameSignature(cm.Func, m) {
+		s.disk.Remove(entry)
 		return nil, false
 	}
-	if dm.Format != diskMethodFormat || dm.Name != name || dm.Func == nil {
-		return nil, false
-	}
-	return &core.CompiledMethod{Func: dm.Func, CompileNanos: dm.CompileNanos}, true
+	return cm, true
 }
 
 func (s *methodStore) PutMethod(name string, cm *core.CompiledMethod) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&diskMethod{
-		Format:       diskMethodFormat,
-		Name:         name,
-		Func:         cm.Func,
-		CompileNanos: cm.CompileNanos,
-	})
-	if err != nil {
-		return
-	}
-	s.disk.Put(s.entryName(name), buf.Bytes())
+	buf := append(make([]byte, 0, 256), diskMethodFormat...)
+	buf = binary.AppendVarint(buf, cm.CompileNanos)
+	s.disk.Put(s.entryName(name), nisa.AppendFunc(buf, cm.Func))
 }
 
-// loadFromDisk resolves a cache key against the disk store and
-// reconstitutes the image around the caller's decoded module (tgt is the
-// stable descriptor pointer the image must reference; jopts is recorded on
-// it so tiering can re-run the same pipeline). A miss or any decode/sanity
-// failure returns false — the caller compiles.
-func (e *Engine) loadFromDisk(key cacheKey, tgt *target.Desc, jopts jit.Options, m *Module) (*core.Image, bool) {
-	payload, ok := e.disk.Get(diskName(key))
+func decodeMethod(payload []byte) (*core.CompiledMethod, error) {
+	r := wire.NewReader(payload)
+	r.Expect(diskMethodFormat)
+	cm := &core.CompiledMethod{CompileNanos: r.Varint(), Func: nisa.DecodeFunc(&r)}
+	if r.Len() != 0 {
+		r.Fail(errDiskEntry)
+	}
+	return cm, r.Err()
+}
+
+// encodeImage serializes everything an Image carries except the module (the
+// caller always has the decoded, verified module — it is the thing being
+// deployed), the target descriptor and the JIT options (parts of the cache
+// key).
+func encodeImage(img *core.Image) []byte {
+	buf := append(make([]byte, 0, 1024), diskFormat...)
+	buf = binary.AppendVarint(buf, img.JITSteps)
+	buf = binary.AppendVarint(buf, img.CompileNanos)
+	buf = nisa.AppendProgram(buf, img.Program)
+	buf = binary.AppendUvarint(buf, uint64(img.AnnotationFallbacks))
+	buf = binary.AppendUvarint(buf, uint64(len(img.AnnotationOutcomes)))
+	for i := range img.AnnotationOutcomes {
+		o := &img.AnnotationOutcomes[i]
+		buf = wire.AppendString(buf, o.Method)
+		buf = wire.AppendString(buf, o.Key)
+		buf = binary.AppendUvarint(buf, uint64(o.Version))
+		var flags byte
+		if o.Enveloped {
+			flags |= 1
+		}
+		if o.Fallback {
+			flags |= 2
+		}
+		buf = append(buf, flags)
+		buf = wire.AppendString(buf, o.Reason)
+	}
+	return buf
+}
+
+// decodeImage is the inverse of encodeImage; the caller fills in the module,
+// target and JIT options.
+func decodeImage(payload []byte) (*core.Image, error) {
+	r := wire.NewReader(payload)
+	r.Expect(diskFormat)
+	img := &core.Image{
+		JITSteps:            r.Varint(),
+		CompileNanos:        r.Varint(),
+		Program:             nisa.DecodeProgram(&r),
+		AnnotationFallbacks: int(r.Uint32()),
+	}
+	if n := r.Count(minOutcomeBytes); n > 0 {
+		img.AnnotationOutcomes = make([]anno.MethodOutcome, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			o := &img.AnnotationOutcomes[i]
+			o.Method, o.Key, o.Version = r.String(), r.String(), r.Uint32()
+			flags := r.Byte()
+			if flags > 3 {
+				r.Fail(errDiskEntry)
+			}
+			o.Enveloped, o.Fallback = flags&1 != 0, flags&2 != 0
+			o.Reason = r.String()
+		}
+	}
+	if r.Len() != 0 {
+		r.Fail(errDiskEntry)
+	}
+	return img, r.Err()
+}
+
+// implements reports whether prog is a compilation of mod for tgt: right
+// target, and every method present under its own signature. The content
+// address makes a collision cryptographically improbable, but a stale or
+// foreign file under the right name is not, and would otherwise surface at
+// Run time.
+func implements(prog *nisa.Program, tgt *target.Desc, mod *cil.Module) bool {
+	if prog.TargetName != tgt.Name {
+		return false
+	}
+	for _, meth := range mod.Methods {
+		if f := prog.Func(meth.Name); f == nil || !sameSignature(f, meth) {
+			return false
+		}
+	}
+	return true
+}
+
+// loadFromDisk resolves a cache key (name is its diskName) against the disk
+// store and reconstitutes the image around the caller's decoded module (tgt
+// is the stable descriptor pointer the image must reference; jopts is
+// recorded on it so tiering can re-run the same pipeline). A miss returns
+// false — the caller compiles; so does an entry that does not decode or is
+// not a compilation of this module for this target, and that entry is
+// removed so the caller's write-through can replace it.
+func (e *Engine) loadFromDisk(name string, tgt *target.Desc, jopts jit.Options, m *Module) (*core.Image, bool) {
+	payload, ok := e.disk.Get(name)
 	if !ok {
 		return nil, false
 	}
-	var di diskImage
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&di); err != nil {
+	img, err := decodeImage(payload)
+	if err != nil || !implements(img.Program, tgt, m.mod) {
+		e.disk.Remove(name)
 		return nil, false
 	}
-	if di.Format != diskFormat || di.Program == nil || di.TargetName != key.desc.Name {
-		return nil, false
-	}
-	// The program must cover the module being deployed: a content collision
-	// is cryptographically improbable, but a half-written index entry is
-	// not, and a missing function would otherwise surface at Run time.
-	for _, meth := range m.mod.Methods {
-		if di.Program.Func(meth.Name) == nil {
-			return nil, false
-		}
-	}
-	return &core.Image{
-		Target:              tgt,
-		Module:              m.mod,
-		Program:             di.Program,
-		JITOpts:             jopts,
-		JITSteps:            di.JITSteps,
-		CompileNanos:        di.CompileNanos,
-		AnnotationOutcomes:  di.AnnotationOutcomes,
-		AnnotationFallbacks: di.AnnotationFallbacks,
-	}, true
+	img.Target, img.Module, img.JITOpts = tgt, m.mod, jopts
+	return img, true
 }
 
-// persistImage spills one completed compilation to the disk store
-// (best-effort: filesystem failures degrade to memory-only caching) and
-// reports whether the entry is durably present afterwards.
-func (e *Engine) persistImage(key cacheKey, img *core.Image) bool {
-	name := diskName(key)
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&diskImage{
-		Format:              diskFormat,
-		TargetName:          img.Target.Name,
-		Program:             img.Program,
-		JITSteps:            img.JITSteps,
-		CompileNanos:        img.CompileNanos,
-		AnnotationOutcomes:  img.AnnotationOutcomes,
-		AnnotationFallbacks: img.AnnotationFallbacks,
-	})
-	if err != nil {
-		return false
-	}
-	e.disk.Put(name, buf.Bytes())
+// persistImage spills one completed compilation to the disk store under
+// name (best-effort: filesystem failures degrade to memory-only caching)
+// and reports whether the entry is durably present afterwards.
+func (e *Engine) persistImage(name string, img *core.Image) bool {
+	e.disk.Put(name, encodeImage(img))
 	return e.disk.Has(name)
 }

@@ -74,7 +74,7 @@ func (e *Engine) DeployHetero(sys *System, m *Module, policy Policy, opts ...Dep
 	deploy := func(encoded []byte, tgt *target.Desc, _ jit.Options) (*core.Deployment, error) {
 		if cfg.noCache {
 			priv := *tgt // never alias the system's descriptor in a long-lived image
-			img, err := e.buildImage(m, &priv, jopts, cfg.lazyCompile, cacheKey{})
+			img, err := e.buildImage(m, &priv, jopts, cfg.lazyCompile, "")
 			if err != nil {
 				return nil, err
 			}

@@ -311,6 +311,57 @@ func TestLazyDiskMethodStore(t *testing.T) {
 	}
 }
 
+// TestLazyDiskMethodStoreHealsGarbageEntry is the per-method twin of the
+// "valid frame, garbage payload" image case: the replica that reads the
+// entry recompiles the method, replaces the entry, and the next replica is
+// served from the store again.
+func TestLazyDiskMethodStoreHealsGarbageEntry(t *testing.T) {
+	dir := t.TempDir()
+	first := New(WithDiskCache(dir))
+	m, err := first.Compile(lazyManySource(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := first.Deploy(m, WithLazyCompile(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dep.Run("lm0", IntArg(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := cacheFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("%d cache files after one first call, want 1", len(files))
+	}
+	plantGarbage(t, files[0], diskMethodFormat)
+
+	second := New(WithDiskCache(dir))
+	dep2, err := second.Deploy(m, WithLazyCompile(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := dep2.Run("lm0", IntArg(60)); err != nil || got != want {
+		t.Fatalf("run over a garbage method entry = %v, %v; want %v", got, err, want)
+	}
+	if cs, st := second.CompileStats(), second.CacheStats(); cs.LazyCompiles != 1 || st.DiskHits != 0 || st.Disk.Corrupt != 1 || st.Disk.Writes != 1 {
+		t.Fatalf("second replica: %d lazy compiles, %d disk hits, disk %+v; want a recompile that replaces the corrupt entry",
+			cs.LazyCompiles, st.DiskHits, *st.Disk)
+	}
+
+	third := New(WithDiskCache(dir))
+	dep3, err := third.Deploy(m, WithLazyCompile(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := dep3.Run("lm0", IntArg(60)); err != nil || got != want {
+		t.Fatalf("run after the entry healed = %v, %v; want %v", got, err, want)
+	}
+	if cs, st := third.CompileStats(), third.CacheStats(); cs.LazyCompiles != 0 || st.DiskHits != 1 {
+		t.Fatalf("third replica: %d lazy compiles, %d disk hits; want a store hit", cs.LazyCompiles, st.DiskHits)
+	}
+}
+
 // TestLazyRunContextCancelled pins the API contract on the public surface: a
 // cancelled lazy run fails with the context error, never compiles anything,
 // and never leaves a half-patched dispatch table — the next run succeeds.

@@ -188,7 +188,7 @@ func (e *Engine) DeployLinkedContext(ctx context.Context, lm *LinkedModule, opts
 		var img *core.Image
 		if cfg.noCache {
 			priv := *tgt
-			img, err = e.buildImage(m, &priv, jopts, cfg.lazyCompile, cacheKey{})
+			img, err = e.buildImage(m, &priv, jopts, cfg.lazyCompile, "")
 			allHit, allDisk = false, false
 		} else {
 			var hit, diskHit bool

@@ -296,7 +296,7 @@ func (e *Engine) DeployContext(ctx context.Context, m *Module, opts ...DeployOpt
 	jopts := cfg.jitOptions()
 	if cfg.noCache {
 		priv := *tgt // the image outlives the call; never alias the caller's descriptor
-		img, err := e.buildImage(m, &priv, jopts, cfg.lazyCompile, cacheKey{})
+		img, err := e.buildImage(m, &priv, jopts, cfg.lazyCompile, "")
 		if err != nil {
 			return nil, err
 		}
@@ -316,10 +316,11 @@ func (e *Engine) DeployContext(ctx context.Context, m *Module, opts ...DeployOpt
 }
 
 // buildImage constructs one image outside the cache lookup: eager (counted
-// as a compilation) or lazy (counted per method as first calls arrive). The
-// key wires lazy images to the per-method disk store; the zero key — the
-// no-cache path — leaves them store-less.
-func (e *Engine) buildImage(m *Module, tgt *target.Desc, jopts jit.Options, lazy bool, key cacheKey) (*core.Image, error) {
+// as a compilation) or lazy (counted per method as first calls arrive).
+// name, the cache key's content address (diskName), wires lazy images to the
+// per-method disk store; empty — no disk layer, or the no-cache path —
+// leaves them store-less.
+func (e *Engine) buildImage(m *Module, tgt *target.Desc, jopts jit.Options, lazy bool, name string) (*core.Image, error) {
 	if !lazy {
 		img, err := core.ImageFromVerifiedModule(m.mod, tgt, jopts)
 		if err != nil {
@@ -332,8 +333,8 @@ func (e *Engine) buildImage(m *Module, tgt *target.Desc, jopts jit.Options, lazy
 	if err != nil {
 		return nil, err
 	}
-	if e.disk != nil && key != (cacheKey{}) {
-		img.SetMethodStore(e.methodStore(key))
+	if name != "" {
+		img.SetMethodStore(&methodStore{disk: e.disk, base: name, mod: m.mod})
 	}
 	img.OnLazyCompile(func(method string, nanos int64, fromStore bool) {
 		e.mu.Lock()
@@ -370,10 +371,13 @@ type cacheKey struct {
 // cacheEntry is one cached (or in-flight) JIT compilation. ready is closed
 // once img/err are final.
 type cacheEntry struct {
-	key   cacheKey
-	ready chan struct{}
-	img   *core.Image
-	err   error
+	key cacheKey
+	// diskName is the key's content address in the disk store, computed once
+	// when the entry is created; empty without a disk layer.
+	diskName string
+	ready    chan struct{}
+	img      *core.Image
+	err      error
 	// elem is the entry's position in the engine's LRU list, nil while the
 	// compilation is in flight or after eviction. Guarded by Engine.mu.
 	elem *list.Element
@@ -428,6 +432,9 @@ func (e *Engine) image(ctx context.Context, m *Module, tgt *target.Desc, jopts j
 	ent := &cacheEntry{key: key, ready: make(chan struct{})}
 	e.cache[key] = ent
 	e.mu.Unlock()
+	if e.disk != nil {
+		ent.diskName = diskName(key)
+	}
 
 	// Memory missed; the persistent layer gets the next word. A disk hit is
 	// a cache hit for the caller (same image the original compilation
@@ -439,26 +446,26 @@ func (e *Engine) image(ctx context.Context, m *Module, tgt *target.Desc, jopts j
 	// method through the method store instead.
 	diskHit := false
 	if e.disk != nil && !lazy {
-		if img, ok := e.loadFromDisk(key, tgt, jopts, m); ok {
+		if img, ok := e.loadFromDisk(ent.diskName, tgt, jopts, m); ok {
 			ent.img = img
 			ent.persisted = true
 			diskHit = true
 		}
 	}
 	if !diskHit {
-		ent.img, ent.err = e.buildImage(m, tgt, jopts, lazy, key)
+		ent.img, ent.err = e.buildImage(m, tgt, jopts, lazy, ent.diskName)
 	}
 	close(ent.ready)
 	if ent.err == nil && !diskHit {
 		if lazy {
-			// A lazy image is never gob-encoded whole (it may be partial at
+			// A lazy image is never persisted whole (it may be partial at
 			// any moment); marking it persisted lets an LRU eviction drop it
 			// without a pointless demotion write.
 			ent.persisted = true
 		} else if e.disk != nil {
 			// Write-through, outside the engine lock: restarts are warm and
 			// replicas sharing the volume skip this compilation entirely.
-			ent.persisted = e.persistImage(key, ent.img)
+			ent.persisted = e.persistImage(ent.diskName, ent.img)
 		}
 	}
 	// demoted collects evicted entries whose write-through never landed;
@@ -506,7 +513,7 @@ func (e *Engine) image(ctx context.Context, m *Module, tgt *target.Desc, jopts j
 	}
 	e.mu.Unlock()
 	for _, old := range demoted {
-		old.persisted = e.persistImage(old.key, old.img)
+		old.persisted = e.persistImage(old.diskName, old.img)
 	}
 	if ent.err != nil {
 		return nil, false, false, ent.err

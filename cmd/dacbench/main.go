@@ -68,7 +68,7 @@ func main() {
 	hostRuns := flag.Int("hostruns", 16, "timed executions per cell of the host-throughput experiment")
 	compileRuns := flag.Int("compileruns", 24, "timed compilations per cell of the compile-throughput experiment")
 	serveRuns := flag.Int("serveruns", 48, "timed requests per latency distribution of the serve experiment")
-	compileWorkers := flag.Int("compile-workers", 0, "pin the JIT worker pool for every compilation in this run (0 = GOMAXPROCS); equivalent to SPLITVM_COMPILE_WORKERS")
+	compileWorkers := flag.Int("compile-workers", 0, "pin the JIT worker pool for every compilation in this run (0 = sized by each module, up to GOMAXPROCS); equivalent to SPLITVM_COMPILE_WORKERS")
 	jsonPath := flag.String("json", "BENCH_results.json", "write the reports of the executed experiments to this JSON file (empty to skip)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")

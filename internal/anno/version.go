@@ -83,8 +83,15 @@ type Outcome struct {
 // annotation fell back (see Outcome.Reason); negotiation itself never
 // returns an error.
 func negotiate(key string, data []byte, minVersion uint32) ([]byte, *envelope.Envelope, Outcome) {
+	env, err := envelope.Parse(data)
+	return negotiateParsed(key, data, env, err, minVersion)
+}
+
+// negotiateParsed is negotiate for a caller that already holds the result
+// of envelope.Parse(data), so one value is parsed (and checksummed) once.
+func negotiateParsed(key string, data []byte, env *envelope.Envelope, err error, minVersion uint32) ([]byte, *envelope.Envelope, Outcome) {
 	out := Outcome{Key: key}
-	if !envelope.Is(data) {
+	if errors.Is(err, envelope.ErrNotEnvelope) {
 		if minVersion > V0 {
 			out.Fallback = true
 			out.Reason = fmt.Sprintf("legacy v0 stream below configured minimum version %d", minVersion)
@@ -93,7 +100,6 @@ func negotiate(key string, data []byte, minVersion uint32) ([]byte, *envelope.En
 		return data, nil, out
 	}
 	out.Enveloped = true
-	env, err := envelope.Parse(data)
 	if err != nil {
 		out.Fallback = true
 		if errors.Is(err, envelope.ErrTooNew) {
@@ -196,6 +202,48 @@ func ReadHWReq(m *cil.Method, minVersion uint32) (v *HWReq, out Outcome, present
 		return nil, out, true
 	}
 	return v, out, true
+}
+
+// Negotiated is everything load-time negotiation derives from one method's
+// annotations under one minimum version. It is shared by every compilation
+// of the method: read only.
+type Negotiated struct {
+	minVersion uint32
+	// RegAlloc is the split register-allocation plan, nil when the method
+	// carries none or it fell back.
+	RegAlloc *RegAllocInfo
+	// Outcomes lists the annotations that were present, in the order
+	// regalloc, vector, hardware requirements.
+	Outcomes []Outcome
+}
+
+// NegotiateMethod runs load-time negotiation for every method-level
+// annotation the deployment side knows about — each value parsed, checksummed
+// and decoded in full, the vector and hardware-requirement sections only to
+// validate them (vector facts travel in the bytecode itself, hardware
+// requirements feed the heterogeneous runtime) — and remembers the result on
+// the method, so that however many targets deploy one loaded module, and
+// however often, each value is read once. The memo holds the minimum version
+// last asked for; a process that alternates between two negotiates again.
+func NegotiateMethod(m *cil.Method, minVersion uint32) *Negotiated {
+	if n, _ := m.Memo().(*Negotiated); n != nil && n.minVersion == minVersion {
+		return n
+	}
+	n := &Negotiated{minVersion: minVersion}
+	ra, out, present := ReadRegAllocInfo(m, minVersion)
+	n.RegAlloc = ra
+	if present {
+		n.Outcomes = append(n.Outcomes, out)
+	}
+	if _, out, present := ReadVectorInfo(m, minVersion); present {
+		n.Outcomes = append(n.Outcomes, out)
+	}
+	if _, out, present := ReadHWReq(m, minVersion); present {
+		n.Outcomes = append(n.Outcomes, out)
+	}
+	// Goroutines negotiating at once each publish an equal result.
+	m.SetMemo(n)
+	return n
 }
 
 // ---- versioned writers -----------------------------------------------------
@@ -359,31 +407,29 @@ type MethodOutcome struct {
 }
 
 // NegotiateModule runs load-time negotiation for every known annotation of
-// every method and returns the outcomes plus the number of sections that
-// fell back to online-only compilation. Unknown annotation keys are skipped:
-// nothing consumes them, so nothing can fall back.
+// the module — its execution profile first (Method "" marks the module
+// owner; the profile is consumed by tiering at deploy time, but a stream
+// carrying one the reader cannot negotiate must surface as a fallback), then
+// each method's (see NegotiateMethod) — and returns the outcomes plus the
+// number of sections that fell back to online-only compilation. Unknown
+// annotation keys are skipped: nothing consumes them, so nothing can fall
+// back.
 func NegotiateModule(mod *cil.Module, minVersion uint32) ([]MethodOutcome, int) {
 	var outcomes []MethodOutcome
 	fallbacks := 0
-	record := func(method string, out Outcome, present bool) {
-		if !present {
-			return
-		}
-		outcomes = append(outcomes, MethodOutcome{Method: method, Outcome: out})
-		if out.Fallback {
-			fallbacks++
+	record := func(method string, outs ...Outcome) {
+		for _, out := range outs {
+			outcomes = append(outcomes, MethodOutcome{Method: method, Outcome: out})
+			if out.Fallback {
+				fallbacks++
+			}
 		}
 	}
-	// Module-level annotations first (Method "" marks the module owner).
-	_, out, present := ReadProfile(mod, minVersion)
-	record("", out, present)
+	if _, out, present := ReadProfile(mod, minVersion); present {
+		record("", out)
+	}
 	for _, m := range mod.Methods {
-		_, out, present := ReadVectorInfo(m, minVersion)
-		record(m.Name, out, present)
-		_, out, present = ReadRegAllocInfo(m, minVersion)
-		record(m.Name, out, present)
-		_, out, present = ReadHWReq(m, minVersion)
-		record(m.Name, out, present)
+		record(m.Name, NegotiateMethod(m, minVersion).Outcomes...)
 	}
 	return outcomes, fallbacks
 }
@@ -435,13 +481,10 @@ func inspectValue(method, key string, data []byte) SectionInfo {
 		}
 	}
 	if _, known := primarySection[key]; known {
-		if _, _, out := negotiate(key, data, 0); out.Fallback {
-			info.Supported = false
-			info.Reason = out.Reason
-			info.Version = out.Version
-		} else {
-			info.Version = out.Version
-		}
+		_, _, out := negotiateParsed(key, data, env, err, 0)
+		info.Supported = !out.Fallback
+		info.Reason = out.Reason
+		info.Version = out.Version
 	}
 	return info
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // Binary format of an encoded module ("SVBC": split-compilation virtual
@@ -74,50 +76,49 @@ func Encode(mod *Module) []byte {
 	return w.buf.Bytes()
 }
 
-// Decode parses a module previously produced by Encode.
+// Decode parses a module previously produced by Encode. The input is
+// untrusted, so it is read through wire.Reader: every declared count is
+// checked against the bytes that remain before anything is sized by it, and
+// only the one encoding Encode produces is accepted (shortest varints,
+// annotation keys in ascending order), so whatever decodes re-encodes to the
+// same bytes.
 func Decode(data []byte) (*Module, error) {
-	r := &decoder{data: data}
-	magic := r.raw(4)
-	if r.err == nil && string(magic) != formatMagic {
+	r := decoder{wire.NewReader(data)}
+	if magic := r.Take(len(formatMagic)); r.Err() == nil && string(magic) != formatMagic {
 		return nil, fmt.Errorf("cil: bad magic %q", magic)
 	}
-	v := r.u8()
-	if r.err == nil && v != formatVersion && v != formatVersionImports {
+	v := r.Byte()
+	if r.Err() == nil && v != formatVersion && v != formatVersionImports {
 		return nil, fmt.Errorf("cil: unsupported format version %d", v)
 	}
-	mod := NewModule(r.str())
+	mod := NewModule(r.String())
 	mod.Annotations = r.annotations()
 	if v >= formatVersionImports {
-		imports, err := r.imports()
-		if err != nil {
-			return nil, err
-		}
-		mod.Imports = imports
-		if err := ValidateImports(mod); err != nil {
-			return nil, err
+		mod.Imports = r.imports()
+		if r.Err() == nil {
+			r.fail(ValidateImports(mod))
 		}
 	}
-	n := int(r.uvarint())
-	if r.err != nil {
-		return nil, r.err
+	// A method is at least a name length, three counts, a return type, a
+	// stack depth and an annotation count.
+	n := r.Count(7)
+	if n > 0 {
+		mod.Methods = make([]*Method, 0, n)
 	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("cil: implausible method count %d", n)
-	}
-	for i := 0; i < n; i++ {
-		m, err := r.method()
-		if err != nil {
-			return nil, err
+	seen := make(map[string]bool, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		m := r.method()
+		if seen[m.Name] {
+			r.fail(fmt.Errorf("duplicate method %q in module %q", m.Name, mod.Name))
 		}
-		if err := mod.AddMethod(m); err != nil {
-			return nil, err
-		}
+		seen[m.Name] = true
+		mod.Methods = append(mod.Methods, m)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() == nil && r.Len() != 0 {
+		r.fail(fmt.Errorf("%d trailing bytes after module", r.Len()))
 	}
-	if r.pos != len(r.data) {
-		return nil, fmt.Errorf("cil: %d trailing bytes after module", len(r.data)-r.pos)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("cil: decode: %w", err)
 	}
 	return mod, nil
 }
@@ -240,204 +241,117 @@ func (w *encoder) instr(in Instr) {
 	}
 }
 
-type decoder struct {
-	data []byte
-	pos  int
-	err  error
-}
+// decoder reads the module format's composite pieces off a wire.Reader,
+// whose first failure sticks: callers read on and check Err once.
+type decoder struct{ wire.Reader }
 
-func (r *decoder) fail(format string, args ...interface{}) {
-	if r.err == nil {
-		r.err = fmt.Errorf("cil: decode at offset %d: %s", r.pos, fmt.Sprintf(format, args...))
+// fail records a validation failure (nil is not one).
+func (r *decoder) fail(err error) {
+	if err != nil {
+		r.Fail(err)
 	}
-}
-
-func (r *decoder) raw(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.pos+n > len(r.data) {
-		r.fail("truncated input (need %d bytes)", n)
-		return nil
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *decoder) u8() uint8 {
-	b := r.raw(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *decoder) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *decoder) svarint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *decoder) f64() float64 {
-	b := r.raw(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func (r *decoder) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.data)-r.pos) {
-		r.fail("string length %d exceeds remaining input", n)
-		return ""
-	}
-	return string(r.raw(int(n)))
 }
 
 func (r *decoder) bytesv() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.pos) {
-		r.fail("byte-string length %d exceeds remaining input", n)
-		return nil
-	}
-	return append([]byte(nil), r.raw(int(n))...)
+	return append([]byte(nil), r.Take(r.Count(1))...)
 }
 
 func (r *decoder) annotations() map[string][]byte {
-	n := int(r.uvarint())
+	n := r.Count(2) // a key length and a value length
 	a := make(map[string][]byte, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		k := r.str()
+	prev := ""
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k := r.String()
+		if i > 0 && k <= prev {
+			r.fail(fmt.Errorf("annotation key %q out of order", k))
+		}
+		prev = k
 		a[k] = r.bytesv()
 	}
 	return a
 }
 
-func (r *decoder) imports() ([]Import, error) {
-	n := int(r.uvarint())
-	if r.err != nil {
-		return nil, r.err
+// types reads a counted, exactly-sized type list (nil when empty).
+func (r *decoder) types() []Type {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
 	}
-	if n < 0 || n > 1<<12 {
-		return nil, fmt.Errorf("cil: implausible import count %d", n)
+	out := make([]Type, n)
+	for i := range out {
+		out[i] = r.typ()
+	}
+	return out
+}
+
+func (r *decoder) imports() []Import {
+	n := r.Count(HashSize + 2)
+	if r.Err() == nil && n == 0 {
+		// Encode writes the import-free format for such a module.
+		r.fail(fmt.Errorf("format version %d without imports", formatVersionImports))
 	}
 	out := make([]Import, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		var im Import
-		copy(im.Hash[:], r.raw(HashSize))
-		im.Module = r.str()
-		nm := int(r.uvarint())
-		if r.err != nil {
-			break
-		}
-		if nm < 0 || nm > 1<<16 {
-			return nil, fmt.Errorf("cil: implausible imported method count %d", nm)
-		}
-		for j := 0; j < nm && r.err == nil; j++ {
-			m := ImportedMethod{Name: r.str()}
-			np := int(r.uvarint())
-			if r.err != nil {
-				break
-			}
-			if np < 0 || np > 1<<10 {
-				return nil, fmt.Errorf("cil: implausible imported param count %d", np)
-			}
-			for k := 0; k < np && r.err == nil; k++ {
-				m.Params = append(m.Params, r.typ())
-			}
+		copy(im.Hash[:], r.Take(HashSize))
+		im.Module = r.String()
+		nm := r.Count(3)
+		im.Methods = make([]ImportedMethod, 0, nm)
+		for j := 0; j < nm && r.Err() == nil; j++ {
+			m := ImportedMethod{Name: r.String()}
+			m.Params = r.types()
 			m.Ret = r.typ()
 			im.Methods = append(im.Methods, m)
 		}
 		out = append(out, im)
 	}
-	return out, r.err
+	return out
 }
 
 func (r *decoder) typ() Type {
-	k := Kind(r.u8())
-	t := Type{Kind: k}
-	if k == Ref {
-		t.Elem = Kind(r.u8())
+	t := Type{Kind: Kind(r.Byte())}
+	if t.Kind == Ref {
+		t.Elem = Kind(r.Byte())
 	}
-	if r.err == nil && int(k) >= len(kindNames) {
-		r.fail("invalid kind %d", k)
+	if r.Err() == nil && int(t.Kind) >= len(kindNames) {
+		r.fail(fmt.Errorf("invalid kind %d", t.Kind))
 	}
 	return t
 }
 
-func (r *decoder) method() (*Method, error) {
-	m := NewMethod(r.str(), nil, Scalar(Void))
-	np := int(r.uvarint())
-	for i := 0; i < np && r.err == nil; i++ {
-		m.Params = append(m.Params, r.typ())
-	}
+func (r *decoder) method() *Method {
+	m := &Method{Name: r.String()}
+	m.Params = r.types()
 	m.Ret = r.typ()
-	nl := int(r.uvarint())
-	for i := 0; i < nl && r.err == nil; i++ {
-		m.Locals = append(m.Locals, r.typ())
-	}
-	m.MaxStack = int(r.uvarint())
+	m.Locals = r.types()
+	m.MaxStack = int(r.Uvarint())
 	m.Annotations = r.annotations()
-	nc := int(r.uvarint())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if nc < 0 || nc > 1<<24 {
-		return nil, fmt.Errorf("cil: implausible instruction count %d in %q", nc, m.Name)
-	}
+	nc := r.Count(1)
 	m.Code = make([]Instr, 0, nc)
-	for i := 0; i < nc && r.err == nil; i++ {
+	for i := 0; i < nc && r.Err() == nil; i++ {
 		m.Code = append(m.Code, r.instr())
 	}
-	return m, r.err
+	return m
 }
 
 func (r *decoder) instr() Instr {
-	in := Instr{Op: Opcode(r.u8())}
-	if r.err == nil && !in.Op.Valid() {
-		r.fail("invalid opcode %d", in.Op)
+	in := Instr{Op: Opcode(r.Byte())}
+	if r.Err() == nil && !in.Op.Valid() {
+		r.fail(fmt.Errorf("invalid opcode %d", in.Op))
 		return in
 	}
 	if opNeedsKind(in.Op) {
-		in.Kind = Kind(r.u8())
+		in.Kind = Kind(r.Byte())
 	}
 	switch in.Op {
 	case LdcI, LdArg, StArg, LdLoc, StLoc:
-		in.Int = r.svarint()
+		in.Int = r.Varint()
 	case LdcF:
-		in.Float = r.f64()
+		in.Float = math.Float64frombits(r.Uint64())
 	case Br, BrTrue, BrFalse:
-		in.Target = int(r.svarint())
+		in.Target = r.Int()
 	case Call:
-		in.Str = r.str()
+		in.Str = r.String()
 	}
 	return in
 }

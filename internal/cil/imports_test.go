@@ -46,6 +46,11 @@ func TestImportsEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
+	// The original was verified and carries the verifier's proof, which is
+	// never encoded; the same bytes verify to the same proof.
+	if err := Verify(got); err != nil {
+		t.Fatalf("Verify decoded: %v", err)
+	}
 	if !reflect.DeepEqual(mod, got) {
 		t.Errorf("round trip mismatch:\noriginal: %+v\ndecoded:  %+v", mod, got)
 	}

@@ -3,6 +3,7 @@ package cil
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/anno/envelope"
 )
@@ -22,6 +23,11 @@ type Method struct {
 	// Verify and stored so that deployment-side compilers do not need to
 	// recompute it.
 	MaxStack int
+
+	// proof is Verify's other result (see StackProof); nil until verified.
+	proof *StackProof
+	// memo is the readers' cache of what Annotations decode to (see Memo).
+	memo atomic.Pointer[any]
 }
 
 // NewMethod returns an empty method with the given signature.
@@ -46,7 +52,23 @@ func (m *Method) SetAnnotation(key string, value []byte) {
 		m.Annotations = make(map[string][]byte)
 	}
 	m.Annotations[key] = append([]byte(nil), value...)
+	m.memo.Store(nil)
 }
+
+// Memo returns what SetMemo last stored, or nil. It is a slot for the
+// readers of the method's annotations (internal/anno) to keep what they
+// decoded, so a module deployed on many targets is parsed once; cil never
+// looks inside. SetAnnotation empties it and Clone does not copy it. Safe for
+// concurrent use; what is stored must be read-only from then on.
+func (m *Method) Memo() any {
+	if p := m.memo.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// SetMemo publishes v in the method's memo slot.
+func (m *Method) SetMemo(v any) { m.memo.Store(&v) }
 
 // Annotation returns the annotation payload for key and whether it exists.
 func (m *Method) Annotation(key string) ([]byte, bool) {
@@ -83,7 +105,9 @@ func annotationVersions(a map[string][]byte) map[string]uint32 {
 	return out
 }
 
-// Clone returns a deep copy of the method.
+// Clone returns a deep copy of the method, without the verifier's proof and
+// the annotation memo: a copy is there to be edited, and whatever compiles it
+// verifies and negotiates it again.
 func (m *Method) Clone() *Method {
 	c := &Method{
 		Name:     m.Name,

@@ -136,7 +136,9 @@ func (k Kind) StackKind() Kind {
 }
 
 // Type describes the type of an argument, local variable or return value.
-// For Ref types, Elem is the element kind of the referenced array.
+// For Ref types, Elem is the element kind of the referenced array. A Vec
+// declaration leaves Elem Void; on the verifier's evaluation stack a Vec
+// carries the element kind of the builtin that produced it.
 type Type struct {
 	Kind Kind
 	Elem Kind
@@ -149,8 +151,11 @@ func Scalar(k Kind) Type { return Type{Kind: k} }
 func Array(elem Kind) Type { return Type{Kind: Ref, Elem: elem} }
 
 func (t Type) String() string {
-	if t.Kind == Ref {
+	switch {
+	case t.Kind == Ref:
 		return t.Elem.String() + "[]"
+	case t.Kind == Vec && t.Elem != Void:
+		return "vec." + t.Elem.String()
 	}
 	return t.Kind.String()
 }

@@ -123,7 +123,7 @@ i32 tiny(i32 a, i32 b) { return a * b + 1; }
 	switch {
 	case len(tr.code) != 0, len(tr.vregs) != 0, len(tr.stack) != 0,
 		len(tr.argVreg) != 0, len(tr.locVreg) != 0, len(tr.locLanes) != 0,
-		len(tr.isTarget) != 0, len(tr.nativeStart) != 0, len(tr.fixups) != 0:
+		len(tr.nativeStart) != 0, len(tr.fixups) != 0:
 		t.Error("translator reset left a non-empty buffer")
 	case len(tr.canon) != 0:
 		t.Error("translator reset left canonical-vreg map entries")

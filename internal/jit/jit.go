@@ -79,10 +79,11 @@ type Options struct {
 	// grandfathered v0 streams.
 	MinAnnotationVersion uint32
 	// CompileWorkers bounds the number of methods CompileModuleReport
-	// compiles concurrently. Zero (the default) uses GOMAXPROCS; negative
-	// or 1 compiles sequentially. The generated program is bit-identical
-	// regardless of the worker count — parallelism only changes wall-clock
-	// time, never code (see TestCompileDeterministicAcrossWorkers).
+	// compiles concurrently. Zero (the default) sizes the pool by the
+	// module (see compileWorkers); negative or 1 compiles sequentially. The
+	// generated program is bit-identical regardless of the worker count —
+	// parallelism only changes wall-clock time, never code (see
+	// TestCompileDeterministicAcrossWorkers).
 	CompileWorkers int
 }
 
@@ -112,16 +113,6 @@ type Report struct {
 	Fallbacks int
 }
 
-// add records one method's negotiation outcomes.
-func (rep *Report) add(method string, outcomes []anno.Outcome) {
-	for _, out := range outcomes {
-		rep.Outcomes = append(rep.Outcomes, anno.MethodOutcome{Method: method, Outcome: out})
-		if out.Fallback {
-			rep.Fallbacks++
-		}
-	}
-}
-
 // CompileModule compiles every method of a verified module into a native
 // program for the compiler's target.
 func (c *Compiler) CompileModule(mod *cil.Module) (*nisa.Program, error) {
@@ -141,38 +132,43 @@ var envCompileWorkers = sync.OnceValue(func() int {
 	return n
 })
 
-// DefaultCompileWorkers is the worker count used when Options.CompileWorkers
-// is zero: the SPLITVM_COMPILE_WORKERS environment override when set,
-// otherwise GOMAXPROCS.
-func DefaultCompileWorkers() int {
-	if n := envCompileWorkers(); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// minInstrsPerWorker is the least bytecode a compile worker must have to
+// itself before the default pool fans out. Measured on the 2-CPU benchmark
+// host with the repository benchmark's generated modules: 16 methods (~600
+// instructions) compile in 75 us on the calling goroutine and 72-80 us on two
+// workers when warm, and inside the benchmark's Load + cold Deploy in 110 us
+// against 137 us, the pool's start-up (~12 us) and its cold scratch states
+// included; 64 methods (~2600 instructions) take 476 us sequentially and
+// 312 us on two workers there. The break-even lies between 300 and 1300
+// instructions a worker.
+const minInstrsPerWorker = 512
 
-// compileWorkers resolves the worker count for a module of n methods.
-func (c *Compiler) compileWorkers(methods int) int {
+// compileWorkers resolves the worker count for mod. A count somebody pinned
+// (Options.CompileWorkers, else SPLITVM_COMPILE_WORKERS) is used as given;
+// otherwise the pool is sized by the work: as many workers as GOMAXPROCS
+// allows and minInstrsPerWorker feeds, which for most modules is one — the
+// calling goroutine, no pool at all.
+func (c *Compiler) compileWorkers(mod *cil.Module) int {
 	w := c.Opts.CompileWorkers
 	if w == 0 {
-		w = DefaultCompileWorkers()
+		w = envCompileWorkers()
 	}
-	if w > methods {
-		w = methods
+	if w == 0 {
+		instrs := 0
+		for _, m := range mod.Methods {
+			instrs += len(m.Code)
+		}
+		w = min(runtime.GOMAXPROCS(0), instrs/minInstrsPerWorker)
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(w, len(mod.Methods)))
 }
 
 // methodResult is one slot of the parallel pipeline's output: results are
 // written by index, so the assembled program and report are deterministic
 // regardless of which worker finished first.
 type methodResult struct {
-	f        *nisa.Func
-	outcomes []anno.Outcome
-	err      error
+	f   *nisa.Func
+	err error
 }
 
 // CompileModuleReport is CompileModule plus the annotation-negotiation
@@ -183,61 +179,52 @@ type methodResult struct {
 // compilation.
 func (c *Compiler) CompileModuleReport(mod *cil.Module) (*nisa.Program, *Report, error) {
 	prog := nisa.NewProgram(c.Target.Name)
-	rep := &Report{}
-	// Module-level annotations negotiate once per compilation (Method "" in
-	// the report). The execution profile is not consumed here — tiering
-	// imports it at deploy time — but a stream carrying one the reader
-	// cannot negotiate must surface as a fallback, never as an error.
-	if _, out, present := anno.ReadProfile(mod, c.Opts.MinAnnotationVersion); present {
-		rep.add("", []anno.Outcome{out})
-	}
 	methods := mod.Methods
-	workers := c.compileWorkers(len(methods))
-	if workers <= 1 {
+	if workers := c.compileWorkers(mod); workers <= 1 {
 		st := getState()
 		defer putState(st)
 		for _, m := range methods {
-			f, outcomes, err := c.compileMethod(st, mod, m)
+			f, _, err := c.compileMethod(st, mod, m)
 			if err != nil {
 				return nil, nil, err
 			}
-			rep.add(m.Name, outcomes)
 			prog.Add(f)
 		}
-		return prog, rep, nil
-	}
-
-	results := make([]methodResult, len(methods))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := getState()
-			defer putState(st)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(methods) {
-					return
+	} else {
+		results := make([]methodResult, len(methods))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st := getState()
+				defer putState(st)
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(methods) {
+						return
+					}
+					r := &results[i]
+					r.f, _, r.err = c.compileMethod(st, mod, methods[i])
 				}
-				r := &results[i]
-				r.f, r.outcomes, r.err = c.compileMethod(st, mod, methods[i])
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Deterministic assembly: module method order, first error wins (the
-	// same error a sequential compilation would have stopped on).
-	for i, m := range methods {
-		r := results[i]
-		if r.err != nil {
-			return nil, nil, r.err
+			}()
 		}
-		rep.add(m.Name, r.outcomes)
-		prog.Add(r.f)
+		wg.Wait()
+
+		// Deterministic assembly: module method order, first error wins (the
+		// same error a sequential compilation would have stopped on).
+		for _, r := range results {
+			if r.err != nil {
+				return nil, nil, r.err
+			}
+			prog.Add(r.f)
+		}
 	}
+	// Every method negotiated its annotations as it compiled, in parallel
+	// when there was a pool; the report is a read of their memos.
+	rep := &Report{}
+	rep.Outcomes, rep.Fallbacks = anno.NegotiateModule(mod, c.Opts.MinAnnotationVersion)
 	return prog, rep, nil
 }
 
@@ -259,33 +246,12 @@ func (c *Compiler) CompileMethodReport(mod *cil.Module, m *cil.Method) (*nisa.Fu
 	return c.compileMethod(st, mod, m)
 }
 
-// negotiateAnnotations runs load-time negotiation for every annotation the
-// deployment side knows about, and returns the split register-allocation
-// info when it survived negotiation (the vector and hardware-requirement
-// sections are validated and surfaced here but consumed elsewhere: vector
-// facts travel in the bytecode itself, hardware requirements feed the
-// heterogeneous runtime).
-func (c *Compiler) negotiateAnnotations(m *cil.Method) (*anno.RegAllocInfo, []anno.Outcome) {
-	var outcomes []anno.Outcome
-	ra, out, present := anno.ReadRegAllocInfo(m, c.Opts.MinAnnotationVersion)
-	if present {
-		outcomes = append(outcomes, out)
-	}
-	if _, out, present := anno.ReadVectorInfo(m, c.Opts.MinAnnotationVersion); present {
-		outcomes = append(outcomes, out)
-	}
-	if _, out, present := anno.ReadHWReq(m, c.Opts.MinAnnotationVersion); present {
-		outcomes = append(outcomes, out)
-	}
-	return ra, outcomes
-}
-
 // compileMethod runs the translate → register-assignment pipeline for one
 // method on the given scratch state. The returned Func owns all its memory:
 // the assigner's rewrite step always replaces the pooled code buffer with an
 // exactly-sized fresh slice.
 func (c *Compiler) compileMethod(st *compileState, mod *cil.Module, m *cil.Method) (*nisa.Func, []anno.Outcome, error) {
-	annot, outcomes := c.negotiateAnnotations(m)
+	neg := anno.NegotiateMethod(m, c.Opts.MinAnnotationVersion)
 	st.beginMethod()
 	tr := &st.tr
 	tr.reset(c, mod, m, st)
@@ -300,9 +266,9 @@ func (c *Compiler) compileMethod(st *compileState, mod *cil.Module, m *cil.Metho
 		Stats:  tr.stats,
 	}
 	ra := &st.as
-	ra.reset(c, tr, f, annot)
+	ra.reset(c, tr, f, neg.RegAlloc)
 	if err := ra.run(); err != nil {
 		return nil, nil, fmt.Errorf("jit: %s: register assignment: %w", m.Name, err)
 	}
-	return f, outcomes, nil
+	return f, neg.Outcomes, nil
 }

@@ -3,6 +3,7 @@ package jit
 import (
 	"fmt"
 
+	"repro/internal/anno"
 	"repro/internal/cil"
 	"repro/internal/nisa"
 	"repro/internal/profile"
@@ -24,7 +25,7 @@ import (
 func (c *Compiler) CompileMethodProfiled(mod *cil.Module, m *cil.Method, fp *profile.FuncProfile) (*nisa.Func, error) {
 	st := getState()
 	defer putState(st)
-	annot, _ := c.negotiateAnnotations(m)
+	annot := anno.NegotiateMethod(m, c.Opts.MinAnnotationVersion).RegAlloc
 	st.beginMethod()
 	tr := &st.tr
 	tr.reset(c, mod, m, st)

@@ -1,8 +1,9 @@
 package jit
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/anno"
 	"repro/internal/nisa"
@@ -57,6 +58,7 @@ type assigner struct {
 
 	// Reusable work buffers (capacities survive across compilations).
 	defBuf, usesBuf []*nisa.Reg // regRefs results
+	regionBuf       [][2]int    // loopRegions result
 	classBuf        []int       // vregsOfClass result
 	orderBuf        []int       // linearScan / weightOrder allocation order
 	freeBuf         []int       // linearScan free-register stack
@@ -70,6 +72,7 @@ type assigner struct {
 	perRegBuf       [][]int     // priorityAllocate per-register assignments
 	outBuf          []nisa.Instr
 	preBuf, postBuf []nisa.Instr // rewrite spill loads/stores around one instr
+	cur             nisa.Instr   // rewrite: the instruction being rewritten
 	posMapBuf       []int        // rewrite old->new instruction positions
 }
 
@@ -183,13 +186,15 @@ func (a *assigner) computeIntervals() {
 }
 
 // loopRegions returns the [start, end] index ranges of backward branches.
+// The result is valid until the next call.
 func (a *assigner) loopRegions() [][2]int {
-	var regions [][2]int
-	for pos, in := range a.f.Code {
-		if in.Op.IsBranch() && in.Target <= pos {
+	regions := a.regionBuf[:0]
+	for pos := range a.f.Code {
+		if in := &a.f.Code[pos]; in.Op.IsBranch() && in.Target <= pos {
 			regions = append(regions, [2]int{in.Target, pos})
 		}
 	}
+	a.regionBuf = regions
 	return regions
 }
 
@@ -368,12 +373,11 @@ func (a *assigner) spill(v int) {
 // profitability information.
 func (a *assigner) linearScan(vregs []int, numRegs int) {
 	order := append(a.orderBuf[:0], vregs...)
-	sort.Slice(order, func(i, j int) bool {
-		si, sj := a.intervals[order[i]].start, a.intervals[order[j]].start
-		if si != sj {
-			return si < sj
+	slices.SortFunc(order, func(x, y int) int {
+		if c := cmp.Compare(a.intervals[x].start, a.intervals[y].start); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(x, y)
 	})
 	free := a.freeBuf[:0]
 	for r := numRegs - 1; r >= 0; r-- {
@@ -479,11 +483,11 @@ func (a *assigner) splitOrder(class nisa.RegClass, vregs []int) []int {
 			rest = append(rest, weighted{vreg: v, weight: a.intervals[v].weight})
 		}
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		if rest[i].weight != rest[j].weight {
-			return rest[i].weight > rest[j].weight
+	slices.SortFunc(rest, func(x, y weighted) int {
+		if c := cmp.Compare(y.weight, x.weight); c != 0 {
+			return c
 		}
-		return rest[i].vreg < rest[j].vreg
+		return cmp.Compare(x.vreg, y.vreg)
 	})
 	// Merge the two weight-sorted sequences (linear).
 	order := a.mergeBuf[:0]
@@ -521,12 +525,11 @@ func spillClassOf(class nisa.RegClass) anno.SpillClass {
 // weight: the "offline quality" reference allocation.
 func (a *assigner) weightOrder(vregs []int) []int {
 	order := append(a.orderBuf[:0], vregs...)
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := a.intervals[order[i]].weight, a.intervals[order[j]].weight
-		if wi != wj {
-			return wi > wj
+	slices.SortFunc(order, func(x, y int) int {
+		if c := cmp.Compare(a.intervals[y].weight, a.intervals[x].weight); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(x, y)
 	})
 	a.orderBuf = order
 	return order
@@ -586,15 +589,31 @@ func (a *assigner) rewrite() {
 		return nisa.Reg{Class: class, Index: a.classRegs(class) + n}
 	}
 
+	// Every call's ArgSlots is carved from one slab: one allocation a
+	// method, not one a call.
+	slotSlab := 0
+	for pos := range a.f.Code {
+		if a.f.Code[pos].Op == nisa.Call {
+			slotSlab += len(a.f.Code[pos].Args)
+		}
+	}
+	slab := make([]int, slotSlab)
+
+	// The instruction being rewritten lives in the assigner, not in a local:
+	// regRefs hands out pointers into it, which would move a local to the
+	// heap once per native instruction.
+	in := &a.cur
 	for pos := range a.f.Code {
 		oldToNew[pos] = len(out)
-		in := a.f.Code[pos] // copy
+		*in = a.f.Code[pos]
 		// Calls keep spilled arguments in their frame slots; the simulator
-		// reads them from there directly.
+		// reads them from there directly. Args is the translator's own
+		// slice, rewritten in place: the virtual-register code dies here.
 		if in.Op == nisa.Call {
-			args := make([]nisa.Reg, len(in.Args))
-			slots := make([]int, len(in.Args))
-			for i, r := range in.Args {
+			args := in.Args
+			slots := slab[:len(args):len(args)]
+			slab = slab[len(args):]
+			for i, r := range args {
 				slots[i] = -1
 				if r.Virtual && a.assigned[r.Index] < 0 {
 					slots[i] = a.slot[r.Index]
@@ -602,28 +621,25 @@ func (a *assigner) rewrite() {
 					a.f.Stats.SpillLoads++
 				} else if r.Virtual {
 					args[i] = phys(r)
-				} else {
-					args[i] = r
 				}
 			}
-			in.Args = args
 			in.ArgSlots = slots
 			if in.Rd.Class != nisa.ClassNone && in.Rd.Virtual {
 				if a.assigned[in.Rd.Index] < 0 {
 					slot := a.slot[in.Rd.Index]
 					in.Rd = scratch(in.Rd.Class, 0)
-					out = append(out, in)
+					out = append(out, *in)
 					out = append(out, nisa.Instr{Op: nisa.SpillStore, Rd: in.Rd, Imm: int64(slot)})
 					a.f.Stats.SpillStores++
 					continue
 				}
 				in.Rd = phys(in.Rd)
 			}
-			out = append(out, in)
+			out = append(out, *in)
 			continue
 		}
 
-		defs, uses := a.regRefs(&in)
+		defs, uses := a.regRefs(in)
 		nextScratch := 0
 		pre, post := a.preBuf[:0], a.postBuf[:0]
 		for _, u := range uses {
@@ -654,7 +670,7 @@ func (a *assigner) rewrite() {
 			*d = s
 		}
 		out = append(out, pre...)
-		out = append(out, in)
+		out = append(out, *in)
 		out = append(out, post...)
 		a.preBuf, a.postBuf = pre, post
 	}

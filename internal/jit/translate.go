@@ -66,8 +66,6 @@ type translator struct {
 	locLanes [][]int // lane vregs for scalarized vector locals
 
 	stack       []operand
-	layouts     [][]cil.Type
-	isTarget    []bool
 	nativeStart []int
 	fixups      []fixup
 	canon       map[canonKey]int
@@ -89,8 +87,6 @@ func (t *translator) reset(c *Compiler, mod *cil.Module, m *cil.Method, st *comp
 	t.locVreg = t.locVreg[:0]
 	t.locLanes = t.locLanes[:0]
 	t.stack = t.stack[:0]
-	t.layouts = nil
-	t.isTarget = t.isTarget[:0]
 	t.nativeStart = t.nativeStart[:0]
 	t.fixups = t.fixups[:0]
 	if t.canon == nil {
@@ -218,15 +214,20 @@ func (t *translator) reconstructStack(layout []cil.Type) {
 			k = cil.Ref
 		}
 		if k == cil.Vec && scalarize {
-			// Scalarized vector entries at join points are keyed per lane.
-			// The element kind is unknown from the layout alone; joins with
-			// live vector values do not occur in compiler-generated code,
-			// so byte lanes are assumed (the widest lane count).
-			lanes := t.st.intSlice(cil.VecBytes)
-			for l := range lanes {
-				lanes[l] = t.canonVreg(d, l, nisa.ClassInt)
+			// Scalarized vector entries at join points are keyed per lane,
+			// in the lane count and register class flushStack wrote them
+			// with: those of the element kind the verifier tracked. It
+			// tracked none for a vector loaded from a vector local, and
+			// those scalarize as byte lanes (see StLoc).
+			elem := typ.Elem
+			if elem == cil.Void {
+				elem = cil.U8
 			}
-			t.push(operand{kind: cil.Vec, lanes: lanes, elem: cil.U8})
+			lanes := t.st.intSlice(elem.Lanes())
+			for l := range lanes {
+				lanes[l] = t.canonVreg(d, l, laneClass(elem))
+			}
+			t.push(operand{kind: cil.Vec, lanes: lanes, elem: elem})
 			continue
 		}
 		t.push(operand{kind: k, vreg: t.canonVreg(d, -1, classOfStack(k))})
@@ -267,16 +268,12 @@ func slotKindOf(typ cil.Type) cil.Kind {
 
 func (t *translator) run() error {
 	m := t.m
-	layouts, err := cil.StackLayouts(t.mod, m)
+	// The verifier's proof stands in for re-running its dataflow here: it
+	// is the one Verify left on the method, or a fresh verification when
+	// the method carries none — unverified code is never translated.
+	proof, err := cil.MethodProof(t.mod, m)
 	if err != nil {
 		return err
-	}
-	t.layouts = layouts
-	t.isTarget = growBools(t.isTarget, len(m.Code))
-	for _, in := range m.Code {
-		if in.Op.IsBranch() {
-			t.isTarget[in.Target] = true
-		}
 	}
 	t.nativeStart = growInts(t.nativeStart, len(m.Code)+1)
 
@@ -302,23 +299,29 @@ func (t *translator) run() error {
 		t.locVreg[j] = t.newNamedVreg(classOfStack(slotKindOf(l)), len(m.Params)+j)
 	}
 
-	for pc, in := range m.Code {
-		if t.isTarget[pc] {
+	nextJoin, joinPC, joinEntry := 0, -1, []cil.Type(nil)
+	if proof.NumJoins() > 0 {
+		joinPC, joinEntry = proof.Join(0)
+	}
+	for pc := range m.Code {
+		in := &m.Code[pc]
+		if pc == joinPC {
 			// Fall-through edges into a join point must agree with branch
 			// edges on where stack values live.
 			if pc == 0 || !m.Code[pc-1].Op.IsTerminator() {
 				t.flushStack()
 			}
-			if t.layouts[pc] != nil {
-				t.reconstructStack(t.layouts[pc])
+			t.reconstructStack(joinEntry)
+			if nextJoin++; nextJoin < proof.NumJoins() {
+				joinPC, joinEntry = proof.Join(nextJoin)
 			}
 		}
 		t.nativeStart[pc] = len(t.code)
-		if t.layouts[pc] == nil {
+		if !proof.Reachable(pc) {
 			// Unreachable instruction: skip (nothing can branch here).
 			continue
 		}
-		if err := t.translate(pc, in); err != nil {
+		if err := t.translate(in); err != nil {
 			return fmt.Errorf("bytecode @%d (%s): %w", pc, in, err)
 		}
 	}
@@ -334,7 +337,7 @@ func (t *translator) run() error {
 
 func (t *translator) invalidateCmp() { t.lastCmp.valid = false }
 
-func (t *translator) translate(pc int, in cil.Instr) error {
+func (t *translator) translate(in *cil.Instr) error {
 	switch in.Op {
 	case cil.Nop:
 
@@ -365,6 +368,11 @@ func (t *translator) translate(pc int, in cil.Instr) error {
 		if t.locVreg[j] < 0 {
 			if v.lanes == nil {
 				return fmt.Errorf("store of non-vector value into vector local")
+			}
+			if len(v.lanes) != len(t.locLanes[j]) {
+				// A scalarized vector local is sixteen integer byte lanes:
+				// its declaration names no element kind to size it by.
+				return fmt.Errorf("store of a %s vector into a vector local, which scalarizes as byte lanes only", v.elem)
 			}
 			for l, lv := range t.locLanes[j] {
 				t.guardVreg(lv)

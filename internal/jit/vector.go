@@ -8,7 +8,7 @@ import (
 // translateVectorSIMD maps one portable vector builtin onto the target's
 // 128-bit vector unit. This is the cheap online half of split vectorization:
 // a one-to-one lowering with no analysis.
-func (t *translator) translateVectorSIMD(in cil.Instr) {
+func (t *translator) translateVectorSIMD(in *cil.Instr) {
 	t.stats.VectorLowered++
 	switch in.Op {
 	case cil.VLoad:
@@ -67,18 +67,24 @@ func vecOp(op cil.Opcode) nisa.Op {
 	return nisa.Nop
 }
 
+// laneClass is the register class holding one lane of a scalarized vector
+// with the given element kind.
+func laneClass(elem cil.Kind) nisa.RegClass {
+	if elem.IsFloat() {
+		return nisa.ClassFloat
+	}
+	return nisa.ClassInt
+}
+
 // translateVectorScalarized expands one portable vector builtin into an
 // unrolled sequence of scalar operations, one per lane. This is what the
 // paper describes as the JIT "simply ignoring the vectorization": the code
 // stays correct and the implied unrolling even helps small loops, at the
 // cost of register pressure for narrow element kinds.
-func (t *translator) translateVectorScalarized(in cil.Instr) {
+func (t *translator) translateVectorScalarized(in *cil.Instr) {
 	t.stats.VectorScalarized++
 	lanes := in.Kind.Lanes()
-	laneClass := nisa.ClassInt
-	if in.Kind.IsFloat() {
-		laneClass = nisa.ClassFloat
-	}
+	class := laneClass(in.Kind)
 	switch in.Op {
 	case cil.VLoad:
 		idx := t.pop()
@@ -87,7 +93,7 @@ func (t *translator) translateVectorScalarized(in cil.Instr) {
 		idxR := t.vr(t.materialize(idx))
 		lv := t.st.intSlice(lanes)
 		for l := 0; l < lanes; l++ {
-			lv[l] = t.newVreg(laneClass)
+			lv[l] = t.newVreg(class)
 			t.emit(nisa.Instr{Op: nisa.Load, Kind: in.Kind, Rd: t.vr(lv[l]), Ra: arrR, Rb: idxR, Imm: int64(l)})
 		}
 		t.push(operand{kind: cil.Vec, lanes: lv, elem: in.Kind})
@@ -114,7 +120,7 @@ func (t *translator) translateVectorScalarized(in cil.Instr) {
 			op = cil.Mul
 		}
 		for l := 0; l < lanes; l++ {
-			lv[l] = t.newVreg(laneClass)
+			lv[l] = t.newVreg(class)
 			t.emit(nisa.Instr{Op: aluOp(op, in.Kind), Kind: in.Kind,
 				Rd: t.vr(lv[l]), Ra: t.vr(a.lanes[l]), Rb: t.vr(b.lanes[l])})
 		}
@@ -128,7 +134,7 @@ func (t *translator) translateVectorScalarized(in cil.Instr) {
 		}
 		lv := t.st.intSlice(lanes)
 		for l := 0; l < lanes; l++ {
-			lv[l] = t.newVreg(laneClass)
+			lv[l] = t.newVreg(class)
 			t.emit(nisa.Instr{Op: nisa.Select, Kind: in.Kind, Cond: cond,
 				Rd: t.vr(lv[l]), Ra: t.vr(a.lanes[l]), Rb: t.vr(b.lanes[l])})
 		}

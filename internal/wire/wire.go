@@ -75,6 +75,17 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
+// Take reads n raw bytes. The result aliases the input.
+func (r *Reader) Take(n int) []byte {
+	if n < 0 || len(r.buf) < n {
+		r.Fail(ErrTruncated)
+		return nil
+	}
+	b := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
 // Uvarint reads an unsigned varint in its shortest encoding.
 func (r *Reader) Uvarint() uint64 {
 	if len(r.buf) > 0 && r.buf[0] < 0x80 {
@@ -141,12 +152,7 @@ func (r *Reader) Count(minBytes int) int {
 }
 
 // String reads a length-prefixed string (copied out of the input).
-func (r *Reader) String() string {
-	n := r.Count(1)
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
+func (r *Reader) String() string { return string(r.Take(r.Count(1))) }
 
 // Expect consumes the literal tag that opens a payload.
 func (r *Reader) Expect(tag string) {

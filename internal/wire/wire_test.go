@@ -59,6 +59,8 @@ func TestReaderRejects(t *testing.T) {
 		{"padded zero", []byte{0x80, 0x00}, func(r *Reader) { r.Varint() }, ErrVarint},
 		{"65-bit varint", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, func(r *Reader) { r.Uvarint() }, ErrVarint},
 		{"short uint64", make([]byte, 7), func(r *Reader) { r.Uint64() }, ErrTruncated},
+		{"take past the end", []byte{1, 2}, func(r *Reader) { r.Take(3) }, ErrTruncated},
+		{"negative take", []byte{1, 2}, func(r *Reader) { r.Take(-1) }, ErrTruncated},
 		{"uint32 overflow", binary.AppendUvarint(nil, 1<<32), func(r *Reader) { r.Uint32() }, ErrRange},
 		{"string past the end", []byte{5, 'a', 'b'}, func(r *Reader) { _ = r.String() }, ErrTruncated},
 		{"count past the end", []byte{3, 0, 0, 0, 0, 0}, func(r *Reader) { r.Count(2) }, ErrTruncated},
@@ -76,6 +78,9 @@ func TestReaderRejects(t *testing.T) {
 		if r.Byte() != 0 || r.Uvarint() != 0 || r.String() != "" || r.Count(1) != 0 || r.Len() != 0 || !errors.Is(r.Err(), tc.want) {
 			t.Errorf("%s: reader kept going after the failure", tc.name)
 		}
+	}
+	if r := NewReader([]byte{7, 8, 9}); string(r.Take(2)) != "\x07\x08" || r.Len() != 1 || r.Err() != nil {
+		t.Error("Take did not hand out the next two bytes")
 	}
 	if r := NewReader([]byte{2, 0, 0, 0, 0}); r.Count(2) != 2 || r.Err() != nil {
 		t.Error("a count the input can hold was rejected")

@@ -22,8 +22,10 @@ type Module struct {
 	encoded []byte
 	hash    [sha256.Size]byte
 
-	// annoInfo records, at load time, the declared version and support
-	// status of every annotation in the module.
+	// annoInfo is the declared version and support status of every
+	// annotation in the module, worked out when AnnotationInfo is first
+	// asked for it: deployments never read it.
+	annoOnce sync.Once
 	annoInfo []AnnotationSectionInfo
 
 	// stats carries offline-compilation accounting; zero for modules that
@@ -61,10 +63,9 @@ func newCompiledModule(res *core.OfflineResult) (*Module, error) {
 		return nil, err
 	}
 	m := &Module{
-		mod:      res.Module,
-		encoded:  res.Encoded,
-		hash:     sha256.Sum256(res.Encoded),
-		annoInfo: anno.InspectModule(res.Module),
+		mod:     res.Module,
+		encoded: res.Encoded,
+		hash:    sha256.Sum256(res.Encoded),
 		stats: ModuleStats{
 			EncodedBytes:    len(res.Encoded),
 			AnnotationBytes: res.AnnotationBytes,
@@ -88,10 +89,9 @@ func loadModule(encoded []byte) (*Module, error) {
 		return nil, err
 	}
 	return &Module{
-		mod:      mod,
-		encoded:  buf,
-		hash:     sha256.Sum256(buf),
-		annoInfo: anno.InspectModule(mod),
+		mod:     mod,
+		encoded: buf,
+		hash:    sha256.Sum256(buf),
 		stats: ModuleStats{
 			EncodedBytes:    len(buf),
 			AnnotationBytes: anno.TotalAnnotationBytes(mod),
@@ -118,12 +118,13 @@ func (m *Module) Stats() ModuleStats { return m.stats }
 // this build can consume it, and — for enveloped values — the section table.
 type AnnotationSectionInfo = anno.SectionInfo
 
-// AnnotationInfo reports the per-method annotation versions recorded when
-// the module was loaded (or compiled): what each annotation declares and
-// whether this reader supports it. Unsupported annotations are not errors —
-// deployments degrade to online-only compilation for those sections (see
+// AnnotationInfo reports the per-method annotation versions of the module
+// as loaded (or compiled): what each annotation declares and whether this
+// reader supports it. Unsupported annotations are not errors — deployments
+// degrade to online-only compilation for those sections (see
 // Deployment.CompileReport).
 func (m *Module) AnnotationInfo() []AnnotationSectionInfo {
+	m.annoOnce.Do(func() { m.annoInfo = anno.InspectModule(m.mod) })
 	return append([]AnnotationSectionInfo(nil), m.annoInfo...)
 }
 

@@ -272,8 +272,11 @@ func WithDiskCache(dir string) Option {
 }
 
 // WithCompileWorkers bounds the number of methods the JIT compiles
-// concurrently during one compilation (0 — the default — uses GOMAXPROCS; 1
-// compiles sequentially). The generated native code is bit-identical for
+// concurrently during one compilation (0 — the default — sizes the pool by
+// the module: up to GOMAXPROCS workers, but only as many as have a few
+// hundred bytecode instructions each, so small modules compile on the
+// calling goroutine; 1 compiles sequentially; any other count is used as
+// given). The generated native code is bit-identical for
 // every worker count — parallelism buys wall-clock compile time, never a
 // different program — so the knob is deliberately not part of the code-cache
 // key: deployments that differ only in their worker count share images.

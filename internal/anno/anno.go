@@ -149,19 +149,15 @@ type HWReq struct {
 
 const schemaVersion = 1
 
+// writer appends into a buffer each encoder sizes up front for the payload
+// it writes (newWriter), so encoding an annotation seldom grows it.
 type writer struct{ buf []byte }
 
-func (w *writer) u8(v uint8) { w.buf = append(w.buf, v) }
-func (w *writer) uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	w.buf = append(w.buf, tmp[:n]...)
-}
-func (w *writer) svarint(v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	w.buf = append(w.buf, tmp[:n]...)
-}
+func newWriter(size int) *writer { return &writer{buf: make([]byte, 0, size)} }
+
+func (w *writer) u8(v uint8)       { w.buf = append(w.buf, v) }
+func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *writer) svarint(v int64)  { w.buf = binary.AppendVarint(w.buf, v) }
 func (w *writer) bool(v bool) {
 	if v {
 		w.u8(1)
@@ -235,7 +231,7 @@ func (r *reader) version(what string) {
 
 // EncodeVectorInfo serializes a VectorInfo payload.
 func EncodeVectorInfo(v *VectorInfo) []byte {
-	w := &writer{}
+	w := newWriter(2 + 6*len(v.Loops))
 	w.u8(schemaVersion)
 	w.uvarint(uint64(len(v.Loops)))
 	for _, l := range v.Loops {
@@ -272,7 +268,7 @@ func DecodeVectorInfo(data []byte) (*VectorInfo, error) {
 
 // EncodeRegAllocInfo serializes a RegAllocInfo payload.
 func EncodeRegAllocInfo(v *RegAllocInfo) []byte {
-	w := &writer{}
+	w := newWriter(3 + 8*len(v.Intervals))
 	w.u8(schemaVersion)
 	w.uvarint(uint64(v.NumSlots))
 	w.uvarint(uint64(len(v.Intervals)))
@@ -307,7 +303,7 @@ func DecodeRegAllocInfo(data []byte) (*RegAllocInfo, error) {
 
 // EncodeHWReq serializes a HWReq payload.
 func EncodeHWReq(v *HWReq) []byte {
-	w := &writer{}
+	w := newWriter(8 + len(v.VectorKinds))
 	w.u8(schemaVersion)
 	w.bool(v.UsesVector)
 	w.bool(v.UsesFloat)

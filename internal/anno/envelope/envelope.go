@@ -109,19 +109,22 @@ func Encode(e *Envelope) []byte {
 	if container == 0 {
 		container = ContainerVersion
 	}
-	var tmp [binary.MaxVarintLen64]byte
-	buf := append([]byte(nil), Magic...)
-	buf = append(buf, container)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(e.Sections)))]...)
-	crc := crc32.NewIEEE()
+	size := len(Magic) + 2 + 4 // magic, container, section count, checksum
 	for _, s := range e.Sections {
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(s.Name)))]...)
-		buf = append(buf, s.Name...)
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(s.Version))]...)
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(s.Payload)))]...)
-		crc.Write(s.Payload)
+		size += 3*binary.MaxVarintLen32 + len(s.Name) + len(s.Payload)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc.Sum32())
+	buf := append(make([]byte, 0, size), Magic...)
+	buf = append(buf, container)
+	buf = binary.AppendUvarint(buf, uint64(len(e.Sections)))
+	var crc uint32
+	for _, s := range e.Sections {
+		buf = binary.AppendUvarint(buf, uint64(len(s.Name)))
+		buf = append(buf, s.Name...)
+		buf = binary.AppendUvarint(buf, uint64(s.Version))
+		buf = binary.AppendUvarint(buf, uint64(len(s.Payload)))
+		crc = crc32.Update(crc, crc32.IEEETable, s.Payload)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, crc)
 	for _, s := range e.Sections {
 		buf = append(buf, s.Payload...)
 	}

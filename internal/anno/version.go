@@ -374,7 +374,7 @@ func SpillClassOf(t cil.Type) SpillClass {
 }
 
 func encodeSpillClasses(classes []SpillClass) []byte {
-	w := &writer{}
+	w := newWriter(2 + len(classes))
 	w.uvarint(uint64(len(classes)))
 	for _, c := range classes {
 		w.u8(uint8(c))

@@ -23,11 +23,9 @@ func TestRunHostMeasuresEveryCell(t *testing.T) {
 		if c.HostNanosPerRun <= 0 || c.SimMIPS <= 0 {
 			t.Errorf("%s/%s: missing host measurements: %+v", c.Kernel, c.Target, c)
 		}
-		// The steady-state dispatch loop is allocation-free; leave headroom
-		// for incidental runtime allocations (GC bookkeeping) only.
-		if c.AllocsPerRun > 1 {
-			t.Errorf("%s/%s: %v allocs/run in the steady-state loop, want ~0", c.Kernel, c.Target, c.AllocsPerRun)
-		}
+		// AllocsPerRun reads process-wide counters, which tests running in
+		// parallel move; the steady state's zero allocations are pinned
+		// per cell by internal/sim's TestTable1CellsSteadyStateZeroAlloc.
 	}
 	if s := r.String(); !strings.Contains(s, "sim MIPS") || !strings.Contains(s, "saxpy_fp") {
 		t.Errorf("report rendering looks wrong:\n%s", s)

@@ -7,9 +7,12 @@ import "fmt"
 type Label int
 
 // MethodBuilder assembles a Method instruction by instruction, resolving
-// symbolic labels to instruction indices when Finish is called.
+// symbolic labels to instruction indices when Finish is called. Finish copies
+// the code out at its exact size and Reset starts the next method on the same
+// buffers, so a generator that keeps one builder stops growing slices.
 type MethodBuilder struct {
 	m          *Method
+	code       []Instr // the method's code until Finish copies it out
 	labelPos   []int   // label -> instruction index, -1 while unbound
 	fixups     []fixup // branches waiting for their label position
 	finishOnce bool
@@ -25,9 +28,11 @@ func NewMethodBuilder(name string, params []Type, ret Type) *MethodBuilder {
 	return &MethodBuilder{m: NewMethod(name, params, ret)}
 }
 
-// Method returns the method under construction. It is primarily useful for
-// declaring locals before emitting code.
-func (b *MethodBuilder) Method() *Method { return b.m }
+// Reset starts a new method with the given signature on b's buffers.
+func (b *MethodBuilder) Reset(name string, params []Type, ret Type) {
+	b.m = NewMethod(name, params, ret)
+	b.code, b.labelPos, b.fixups, b.finishOnce = b.code[:0], b.labelPos[:0], b.fixups[:0], false
+}
 
 // AddLocal declares a new local variable and returns its index.
 func (b *MethodBuilder) AddLocal(t Type) int { return b.m.AddLocal(t) }
@@ -40,12 +45,12 @@ func (b *MethodBuilder) NewLabel() Label {
 
 // Bind binds the label to the position of the next emitted instruction.
 func (b *MethodBuilder) Bind(l Label) {
-	b.labelPos[l] = len(b.m.Code)
+	b.labelPos[l] = len(b.code)
 }
 
 // Emit appends a raw instruction.
 func (b *MethodBuilder) Emit(in Instr) *MethodBuilder {
-	b.m.Code = append(b.m.Code, in)
+	b.code = append(b.code, in)
 	return b
 }
 
@@ -98,7 +103,7 @@ func (b *MethodBuilder) BranchTrue(l Label) *MethodBuilder { return b.branch(BrT
 func (b *MethodBuilder) BranchFalse(l Label) *MethodBuilder { return b.branch(BrFalse, l) }
 
 func (b *MethodBuilder) branch(op Opcode, l Label) *MethodBuilder {
-	b.fixups = append(b.fixups, fixup{instr: len(b.m.Code), label: l})
+	b.fixups = append(b.fixups, fixup{instr: len(b.code), label: l})
 	return b.Emit(Instr{Op: op, Target: -1})
 }
 
@@ -123,8 +128,9 @@ func (b *MethodBuilder) Finish() (*Method, error) {
 		if pos < 0 {
 			return nil, fmt.Errorf("cil: method %q: unbound label %d", b.m.Name, f.label)
 		}
-		b.m.Code[f.instr].Target = pos
+		b.code[f.instr].Target = pos
 	}
+	b.m.Code = append(make([]Instr, 0, len(b.code)), b.code...)
 	return b.m, nil
 }
 

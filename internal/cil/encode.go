@@ -1,11 +1,10 @@
 package cil
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -57,7 +56,13 @@ const (
 // size of this encoding is what the code-size experiment (EXP-SIZE) compares
 // against native code.
 func Encode(mod *Module) []byte {
-	var w encoder
+	// Compiled code takes under 128 bytes per method header and about three
+	// per instruction: a buffer of that size is seldom grown.
+	size := 64 + len(mod.Name)
+	for _, m := range mod.Methods {
+		size += 128 + 3*len(m.Code)
+	}
+	w := encoder{buf: make([]byte, 0, size)}
 	w.raw([]byte(formatMagic))
 	version := uint8(formatVersion)
 	if len(mod.Imports) > 0 {
@@ -73,7 +78,7 @@ func Encode(mod *Module) []byte {
 	for _, m := range mod.Methods {
 		w.method(m)
 	}
-	return w.buf.Bytes()
+	return w.buf
 }
 
 // Decode parses a module previously produced by Encode. The input is
@@ -127,41 +132,26 @@ func Decode(data []byte) (*Module, error) {
 func EncodedSize(mod *Module) int { return len(Encode(mod)) }
 
 type encoder struct {
-	buf bytes.Buffer
+	buf []byte
 }
 
-func (w *encoder) raw(b []byte) { w.buf.Write(b) }
-func (w *encoder) u8(v uint8)   { w.buf.WriteByte(v) }
-func (w *encoder) uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	w.buf.Write(tmp[:n])
-}
-func (w *encoder) svarint(v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	w.buf.Write(tmp[:n])
-}
+func (w *encoder) raw(b []byte)     { w.buf = append(w.buf, b...) }
+func (w *encoder) u8(v uint8)       { w.buf = append(w.buf, v) }
+func (w *encoder) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *encoder) svarint(v int64)  { w.buf = binary.AppendVarint(w.buf, v) }
 func (w *encoder) f64(v float64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-	w.buf.Write(tmp[:])
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
-func (w *encoder) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf.WriteString(s)
-}
-func (w *encoder) bytesv(b []byte) {
-	w.uvarint(uint64(len(b)))
-	w.buf.Write(b)
-}
+func (w *encoder) str(s string)    { w.uvarint(uint64(len(s))); w.buf = append(w.buf, s...) }
+func (w *encoder) bytesv(b []byte) { w.uvarint(uint64(len(b))); w.raw(b) }
 
 func (w *encoder) annotations(a map[string][]byte) {
-	keys := make([]string, 0, len(a))
+	var small [4]string // the keys of a compiled method fit here
+	keys := small[:0]
 	for k := range a {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	w.uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		w.str(k)

@@ -221,6 +221,16 @@ func (v *verifier) popArray(pc int, in *Instr, elem Kind) error {
 	return nil
 }
 
+// popVec pops a vector operand of in, which must hold in.Kind lanes unless
+// it was read from a vector local (Elem Void: the declaration names none).
+func (v *verifier) popVec(pc int, in *Instr) error {
+	t, err := v.pop(pc, in)
+	if err == nil && (t.Kind != Vec || t.Elem != Void && t.Elem != in.Kind) {
+		err = v.errf(pc, "%s.%s: expected a vector of %s, found %s", in.Op, in.Kind, in.Kind, t)
+	}
+	return err
+}
+
 // popAssignable pops a stack value and checks it may be stored into a slot of
 // declared type want. A vector slot takes a vector of any element kind: its
 // declaration names none.
@@ -420,7 +430,7 @@ func (v *verifier) step(pc int) (fallthru bool, err error) {
 		if in.Kind.Lanes() == 0 {
 			return false, v.errf(pc, "vstore with element kind %s", in.Kind)
 		}
-		if err := v.popKind(pc, in, Vec); err != nil {
+		if err := v.popVec(pc, in); err != nil {
 			return false, err
 		}
 		if err := v.popKind(pc, in, I32); err != nil {
@@ -433,10 +443,10 @@ func (v *verifier) step(pc int) (fallthru bool, err error) {
 		if in.Kind.Lanes() == 0 {
 			return false, v.errf(pc, "%s with element kind %s", in.Op, in.Kind)
 		}
-		if err := v.popKind(pc, in, Vec); err != nil {
+		if err := v.popVec(pc, in); err != nil {
 			return false, err
 		}
-		if err := v.popKind(pc, in, Vec); err != nil {
+		if err := v.popVec(pc, in); err != nil {
 			return false, err
 		}
 		v.push(Type{Kind: Vec, Elem: in.Kind})
@@ -452,7 +462,7 @@ func (v *verifier) step(pc int) (fallthru bool, err error) {
 		if in.Kind.Lanes() == 0 {
 			return false, v.errf(pc, "%s with element kind %s", in.Op, in.Kind)
 		}
-		if err := v.popKind(pc, in, Vec); err != nil {
+		if err := v.popVec(pc, in); err != nil {
 			return false, err
 		}
 		v.push(Scalar(ReduceKind(in.Op, in.Kind)))

@@ -11,6 +11,7 @@ package codegen
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/anno"
 	"repro/internal/cil"
@@ -37,10 +38,15 @@ type Options struct {
 // bytecode module.
 func Compile(chk *minic.Checked, moduleName string, opts Options) (*cil.Module, error) {
 	mod := cil.NewModule(moduleName)
-	// One generator serves every function: its slot maps and plan buffer
-	// are cleared per function (genFunc) instead of reallocated, the same
-	// allocation-lean discipline the online compile pipeline follows.
-	g := &generator{chk: chk, opts: opts}
+	g := generators.Get().(*generator)
+	defer func() {
+		clear(g.plans[:cap(g.plans)])
+		clear(g.localSlot)
+		clear(g.boundDecls)
+		g.chk, g.info = nil, nil
+		generators.Put(g)
+	}()
+	g.chk, g.opts = chk, opts
 	for _, fn := range chk.Prog.Funcs {
 		g.info = chk.Funcs[fn.Name]
 		m, err := g.genFunc(fn)
@@ -57,12 +63,20 @@ func Compile(chk *minic.Checked, moduleName string, opts Options) (*cil.Module, 
 	return mod, nil
 }
 
+// generators recycles generators across compilations: genFunc clears a
+// generator's builder buffers, slot maps and plan buffer instead of
+// reallocating them, so a warm one emits code without growing any.
+var generators = sync.Pool{New: func() any {
+	return &generator{localSlot: make(map[*minic.Symbol]int), tempSlot: make(map[cil.Kind]int)}
+}}
+
 type generator struct {
 	chk  *minic.Checked
 	info *minic.FuncInfo
 	opts Options
 
-	b          *cil.MethodBuilder
+	b          cil.MethodBuilder
+	params     []cil.Type
 	localSlot  map[*minic.Symbol]int
 	tempSlot   map[cil.Kind]int
 	boundDecls map[*minic.Symbol]bool
@@ -70,21 +84,13 @@ type generator struct {
 }
 
 func (g *generator) genFunc(fn *minic.FuncDecl) (*cil.Method, error) {
-	params := make([]cil.Type, len(fn.Params))
-	for i, p := range fn.Params {
-		params[i] = p.Type
+	g.params = g.params[:0]
+	for _, p := range fn.Params {
+		g.params = append(g.params, p.Type)
 	}
-	g.b = cil.NewMethodBuilder(fn.Name, params, fn.Ret)
-	if g.localSlot == nil {
-		g.localSlot = make(map[*minic.Symbol]int)
-	} else {
-		clear(g.localSlot)
-	}
-	if g.tempSlot == nil {
-		g.tempSlot = make(map[cil.Kind]int)
-	} else {
-		clear(g.tempSlot)
-	}
+	g.b.Reset(fn.Name, g.params, fn.Ret)
+	clear(g.localSlot)
+	clear(g.tempSlot)
 	clear(g.boundDecls) // no-op on the nil map; it is created lazily
 	g.plans = g.plans[:0]
 	for _, sym := range g.info.Locals {
@@ -138,33 +144,26 @@ func (g *generator) attachAnnotations(m *cil.Method) error {
 	}
 
 	req := &anno.HWReq{}
-	vecKinds := make(map[cil.Kind]bool)
+	var vecKinds uint64 // bit k: a vector op of kind k
 	for _, in := range m.Code {
 		if in.Op.IsVector() {
 			req.UsesVector = true
-			vecKinds[in.Kind] = true
+			vecKinds |= 1 << in.Kind
 		}
 		if in.Kind.IsFloat() && (in.Op.IsBinaryArith() || in.Op.IsCompare() || in.Op == cil.LdcF ||
 			in.Op == cil.Neg || in.Op == cil.Conv || in.Op == cil.LdElem || in.Op == cil.StElem) {
 			req.UsesFloat = true
 		}
 	}
-	for k := range vecKinds {
-		req.VectorKinds = append(req.VectorKinds, k)
+	for k := cil.Kind(0); vecKinds>>k != 0; k++ {
+		if vecKinds&(1<<k) != 0 {
+			req.VectorKinds = append(req.VectorKinds, k)
+		}
 	}
-	sortKinds(req.VectorKinds)
 	// Static instruction count is the work proxy the runtime scheduler uses
 	// to decide whether offloading is worth the dispatch latency.
 	req.EstimatedWork = int64(len(m.Code))
 	return anno.AttachHWReqV(m, req, g.opts.AnnotationVersion)
-}
-
-func sortKinds(kinds []cil.Kind) {
-	for i := 1; i < len(kinds); i++ {
-		for j := i; j > 0 && kinds[j] < kinds[j-1]; j-- {
-			kinds[j], kinds[j-1] = kinds[j-1], kinds[j]
-		}
-	}
 }
 
 // ---- statements ------------------------------------------------------------

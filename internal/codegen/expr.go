@@ -103,14 +103,13 @@ func (g *generator) genTruth(e minic.Expr) error {
 	return nil
 }
 
-var binOpcode = map[minic.BinOp]cil.Opcode{
+// binOpcode is the opcode of each arithmetic and comparison operator,
+// indexed by operator; the logical operators branch instead and have none.
+var binOpcode = [...]cil.Opcode{
 	minic.OpAdd: cil.Add, minic.OpSub: cil.Sub, minic.OpMul: cil.Mul,
 	minic.OpDiv: cil.Div, minic.OpRem: cil.Rem,
 	minic.OpAnd: cil.And, minic.OpOr: cil.Or, minic.OpXor: cil.Xor,
 	minic.OpShl: cil.Shl, minic.OpShr: cil.Shr,
-}
-
-var cmpOpcode = map[minic.BinOp]cil.Opcode{
 	minic.OpEq: cil.CmpEq, minic.OpNe: cil.CmpNe,
 	minic.OpLt: cil.CmpLt, minic.OpLe: cil.CmpLe,
 	minic.OpGt: cil.CmpGt, minic.OpGe: cil.CmpGe,
@@ -205,19 +204,17 @@ func (g *generator) genBinary(ex *minic.BinaryExpr) error {
 	if err := g.genExpr(ex.R); err != nil {
 		return err
 	}
-	if op, ok := cmpOpcode[ex.Op]; ok {
-		g.b.OpK(op, ex.L.Type().Kind)
-		return nil
+	if ex.Op < 0 || int(ex.Op) >= len(binOpcode) || binOpcode[ex.Op] == cil.Nop {
+		return fmt.Errorf("codegen: unknown binary operator %v", ex.Op)
 	}
-	if op, ok := binOpcode[ex.Op]; ok {
-		kind := ex.Type().Kind
-		if ex.Op == minic.OpShl || ex.Op == minic.OpShr {
-			kind = ex.L.Type().Kind
-		}
-		g.b.OpK(op, kind)
-		return nil
+	// A comparison and a shift take the kind of their left operand, the
+	// rest the kind of their result.
+	kind := ex.Type().Kind
+	if ex.Op.IsComparison() || ex.Op == minic.OpShl || ex.Op == minic.OpShr {
+		kind = ex.L.Type().Kind
 	}
-	return fmt.Errorf("codegen: unknown binary operator %v", ex.Op)
+	g.b.OpK(binOpcode[ex.Op], kind)
+	return nil
 }
 
 // genLogical emits short-circuit && and || with a strict 0/1 result.

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -131,7 +132,89 @@ func TestWideVectorLocalIsRefusedWhenScalarized(t *testing.T) {
 		t.Errorf("SIMD compilation failed: %v", err)
 	}
 	_, err := New(target.MustLookup(target.MCU), Options{}).CompileModule(mod)
-	if err == nil || !strings.Contains(err.Error(), "byte lanes only") {
+	if !errors.Is(err, ErrVectorLocalLanes) {
 		t.Errorf("scalarizing: err = %v, want a refusal", err)
+	}
+}
+
+// mismatchedVectorKinds are straight-line methods whose vector operands were
+// loaded with one element kind and are used by an operation of another.
+// The verifier used to pop vector operands without comparing element kinds,
+// so each verified, and the scalarizing translator indexed past the four
+// lanes of the i32 vectors: a panic on mcu.
+func mismatchedVectorKinds() []*cil.Method {
+	sig := []cil.Type{cil.Array(cil.I32), cil.Array(cil.U8)}
+	load := func(b *cil.MethodBuilder) {
+		b.LoadArg(0).ConstI(cil.I32, 0).OpK(cil.VLoad, cil.I32)
+	}
+	add := cil.NewMethodBuilder("vadd_u8_of_i32", sig, cil.Scalar(cil.Void))
+	add.LoadArg(1).ConstI(cil.I32, 0)
+	load(add)
+	load(add)
+	add.OpK(cil.VAdd, cil.U8).OpK(cil.VStore, cil.U8).Return()
+
+	store := cil.NewMethodBuilder("vstore_u8_of_i32", sig, cil.Scalar(cil.Void))
+	store.LoadArg(1).ConstI(cil.I32, 0)
+	load(store)
+	store.OpK(cil.VStore, cil.U8).Return()
+
+	red := cil.NewMethodBuilder("vredmax_u8_of_i32", sig, cil.Scalar(cil.I32))
+	load(red)
+	red.OpK(cil.VRedMax, cil.U8).Return()
+	return []*cil.Method{add.MustFinish(), store.MustFinish(), red.MustFinish()}
+}
+
+// TestVectorElementKindsMustAgree: a vector operand whose element kind is
+// known must have the operation's kind; verification refuses the module
+// before any translator sees it.
+func TestVectorElementKindsMustAgree(t *testing.T) {
+	for _, m := range mismatchedVectorKinds() {
+		mod := cil.NewModule("vecmismatch")
+		if err := mod.AddMethod(m); err != nil {
+			t.Fatal(err)
+		}
+		err := cil.Verify(mod)
+		var ve *cil.VerifyError
+		if !errors.As(err, &ve) {
+			// Translate it anyway: this is where an unchecked mismatch panics.
+			_, jerr := New(target.MustLookup(target.MCU), Options{}).CompileModule(mod)
+			t.Fatalf("%s: verify err = %v (jit on mcu: %v), want a verify error", m.Name, err, jerr)
+		}
+		if !strings.Contains(ve.Msg, "i32") {
+			t.Errorf("%s: %v does not name the operand's element kind", m.Name, err)
+		}
+	}
+}
+
+// TestVectorLocalUsedAsWiderLanes: a vector read from a vector local names
+// no element kind, so the verifier accepts it under any vector operation.
+// A SIMD target reinterprets the register; a scalarizing target holds such a
+// vector as sixteen byte lanes, accepts it under an i8 or u8 operation and
+// refuses a wider-lane one with ErrVectorLocalLanes rather than translating
+// float operations on integer registers.
+func TestVectorLocalUsedAsWiderLanes(t *testing.T) {
+	for _, k := range []cil.Kind{cil.I32, cil.F32, cil.F64, cil.I16, cil.I8} {
+		b := cil.NewMethodBuilder("widen", []cil.Type{cil.Array(cil.U8), cil.Array(k)}, cil.Scalar(cil.Void))
+		v := b.AddLocal(cil.Scalar(cil.Vec))
+		b.LoadArg(0).ConstI(cil.I32, 0).OpK(cil.VLoad, cil.U8).StoreLocal(v)
+		b.LoadArg(1).ConstI(cil.I32, 0).LoadLocal(v).LoadLocal(v).OpK(cil.VAdd, k).OpK(cil.VStore, k).Return()
+		mod := cil.NewModule("veclocal")
+		if err := mod.AddMethod(b.MustFinish()); err != nil {
+			t.Fatal(err)
+		}
+		if err := cil.Verify(mod); err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		if _, err := New(target.MustLookup(target.X86SSE), Options{}).CompileModule(mod); err != nil {
+			t.Errorf("%s: SIMD compilation failed: %v", k, err)
+		}
+		for _, arch := range []target.Arch{target.MCU, target.Sparc} {
+			_, err := New(target.MustLookup(arch), Options{}).CompileModule(mod)
+			if k == cil.I8 && err != nil {
+				t.Errorf("i8 on %s: %v; i8 lanes are byte lanes", arch, err)
+			} else if k != cil.I8 && !errors.Is(err, ErrVectorLocalLanes) {
+				t.Errorf("%s on %s: err = %v, want ErrVectorLocalLanes", k, arch, err)
+			}
+		}
 	}
 }

@@ -372,7 +372,7 @@ func (t *translator) translate(in *cil.Instr) error {
 			if len(v.lanes) != len(t.locLanes[j]) {
 				// A scalarized vector local is sixteen integer byte lanes:
 				// its declaration names no element kind to size it by.
-				return fmt.Errorf("store of a %s vector into a vector local, which scalarizes as byte lanes only", v.elem)
+				return fmt.Errorf("%w: store of a %s vector into one", ErrVectorLocalLanes, v.elem)
 			}
 			for l, lv := range t.locLanes[j] {
 				t.guardVreg(lv)
@@ -537,8 +537,8 @@ func (t *translator) translate(in *cil.Instr) error {
 		cil.VSplat, cil.VRedAdd, cil.VRedMax, cil.VRedMin:
 		if t.c.useSIMD() {
 			t.translateVectorSIMD(in)
-		} else {
-			t.translateVectorScalarized(in)
+		} else if err := t.translateVectorScalarized(in); err != nil {
+			return err
 		}
 
 	default:

@@ -1,9 +1,20 @@
 package jit
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/cil"
 	"repro/internal/nisa"
 )
+
+// ErrVectorLocalLanes refuses, on a target without a vector unit, code that
+// uses a vector local as anything but byte lanes. Such a local's declaration
+// names no element kind, so it scalarizes as sixteen integer byte lanes: a
+// wider vector cannot be stored into it, and what is read from it cannot
+// feed an operation on wider lanes. SIMD targets reinterpret the register
+// and accept both.
+var ErrVectorLocalLanes = errors.New("a scalarized vector local holds byte lanes only")
 
 // translateVectorSIMD maps one portable vector builtin onto the target's
 // 128-bit vector unit. This is the cheap online half of split vectorization:
@@ -81,10 +92,24 @@ func laneClass(elem cil.Kind) nisa.RegClass {
 // paper describes as the JIT "simply ignoring the vectorization": the code
 // stays correct and the implied unrolling even helps small loops, at the
 // cost of register pressure for narrow element kinds.
-func (t *translator) translateVectorScalarized(in *cil.Instr) {
-	t.stats.VectorScalarized++
+func (t *translator) translateVectorScalarized(in *cil.Instr) error {
 	lanes := in.Kind.Lanes()
 	class := laneClass(in.Kind)
+	// The verifier checked that every vector operand holds in.Kind lanes,
+	// except one read from a vector local, which holds byte lanes here.
+	operands := 0
+	switch in.Op {
+	case cil.VStore, cil.VRedAdd, cil.VRedMax, cil.VRedMin:
+		operands = 1
+	case cil.VAdd, cil.VSub, cil.VMul, cil.VMax, cil.VMin:
+		operands = 2
+	}
+	for _, op := range t.stack[len(t.stack)-operands:] {
+		if len(op.lanes) != lanes || laneClass(op.elem) != class {
+			return fmt.Errorf("%w: %s.%s of a %s vector", ErrVectorLocalLanes, in.Op, in.Kind, op.elem)
+		}
+	}
+	t.stats.VectorScalarized++
 	switch in.Op {
 	case cil.VLoad:
 		idx := t.pop()
@@ -172,4 +197,5 @@ func (t *translator) translateVectorScalarized(in *cil.Instr) {
 		}
 		t.pushReg(acc, resKind)
 	}
+	return nil
 }

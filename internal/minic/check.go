@@ -2,6 +2,7 @@ package minic
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cil"
 )
@@ -47,11 +48,15 @@ func IsIntrinsic(name string) bool {
 
 // Check type-checks the program.
 func Check(prog *Program) (*Checked, error) {
-	c := &checker{
-		prog:  prog,
-		sigs:  make(map[string]*FuncDecl),
-		funcs: make(map[string]*FuncInfo),
-	}
+	c := checkers.Get().(*checker)
+	defer func() {
+		clear(c.locals) // what a failed check left
+		*c = checker{scopes: c.scopes, locals: c.locals[:0]}
+		checkers.Put(c)
+	}()
+	c.prog = prog
+	c.sigs = make(map[string]*FuncDecl, len(prog.Funcs))
+	c.funcs = make(map[string]*FuncInfo, len(prog.Funcs))
 	for _, f := range prog.Funcs {
 		if IsIntrinsic(f.Name) || f.Name == "len" {
 			return nil, errf(f.Pos, "cannot define function %q: the name is reserved for an intrinsic", f.Name)
@@ -75,16 +80,29 @@ type checker struct {
 	funcs map[string]*FuncInfo
 
 	// per-function state
-	cur    *FuncDecl
-	info   *FuncInfo
+	cur  *FuncDecl
+	info *FuncInfo
+	// scopes[:depth] are the open scopes, innermost last. A scope is
+	// cleared when it closes and its map reused by the next one opened.
 	scopes []map[string]*Symbol
+	depth  int
+	locals []*Symbol // the function's locals until its FuncInfo takes them
 }
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, make(map[string]*Symbol)) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+// checkers recycles checkers, so that a warm one's scope maps and locals
+// stack never grow.
+var checkers = sync.Pool{New: func() any { return new(checker) }}
+
+func (c *checker) pushScope() {
+	if c.depth++; c.depth > len(c.scopes) {
+		c.scopes = append(c.scopes, make(map[string]*Symbol))
+	}
+}
+
+func (c *checker) popScope() { c.depth--; clear(c.scopes[c.depth]) }
 
 func (c *checker) lookup(name string) *Symbol {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
+	for i := c.depth - 1; i >= 0; i-- {
 		if s, ok := c.scopes[i][name]; ok {
 			return s
 		}
@@ -93,7 +111,7 @@ func (c *checker) lookup(name string) *Symbol {
 }
 
 func (c *checker) declare(pos Pos, name string, typ cil.Type, isParam bool) (*Symbol, error) {
-	top := c.scopes[len(c.scopes)-1]
+	top := c.scopes[c.depth-1]
 	if _, dup := top[name]; dup {
 		return nil, errf(pos, "%q redeclared in this scope", name)
 	}
@@ -102,8 +120,8 @@ func (c *checker) declare(pos Pos, name string, typ cil.Type, isParam bool) (*Sy
 		sym.Index = c.info.NumParams
 		c.info.NumParams++
 	} else {
-		sym.Index = len(c.info.Locals)
-		c.info.Locals = append(c.info.Locals, sym)
+		sym.Index = len(c.locals)
+		c.locals = append(c.locals, sym)
 	}
 	top[name] = sym
 	return sym, nil
@@ -113,15 +131,12 @@ func (c *checker) checkFunc(f *FuncDecl) error {
 	c.cur = f
 	c.info = &FuncInfo{Decl: f}
 	c.funcs[f.Name] = c.info
-	c.scopes = nil
 	c.pushScope()
 	defer c.popScope()
-	seen := make(map[string]bool)
 	for _, p := range f.Params {
-		if seen[p.Name] {
+		if c.lookup(p.Name) != nil {
 			return errf(p.Pos, "duplicate parameter %q", p.Name)
 		}
-		seen[p.Name] = true
 		if p.Type.Kind == cil.Void {
 			return errf(p.Pos, "parameter %q has type void", p.Name)
 		}
@@ -132,7 +147,11 @@ func (c *checker) checkFunc(f *FuncDecl) error {
 	if f.Ret.IsArray() {
 		return errf(f.Pos, "array return types are not supported")
 	}
-	return c.checkBlock(f.Body)
+	if err := c.checkBlock(f.Body); err != nil {
+		return err
+	}
+	c.info.Locals = collect(&c.locals, 0)
+	return nil
 }
 
 func (c *checker) checkBlock(b *BlockStmt) error {
@@ -450,15 +469,14 @@ func (c *checker) checkBinary(ex *BinaryExpr) (Expr, error) {
 }
 
 func (c *checker) checkCall(ex *CallExpr) (Expr, error) {
-	var args []Expr
-	for _, a := range ex.Args {
+	args := ex.Args
+	for i, a := range args {
 		ca, err := c.checkExpr(a)
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, ca)
+		args[i] = ca
 	}
-	ex.Args = args
 
 	if IsIntrinsic(ex.Name) {
 		switch ex.Name {
@@ -552,34 +570,16 @@ func commonType(a, b cil.Type) cil.Type {
 	case ka == cil.F32 || kb == cil.F32:
 		return cil.Scalar(cil.F32)
 	}
-	rank := func(k cil.Kind) int {
-		switch k {
-		case cil.I64, cil.U64:
-			return 2
-		default:
-			return 1
-		}
-	}
-	unsigned := func(k cil.Kind) bool { return k == cil.U32 || k == cil.U64 }
-	ra, rb := rank(ka), rank(kb)
-	maxRank := ra
-	if rb > maxRank {
-		maxRank = rb
-	}
-	isUnsigned := false
-	if ra == maxRank && unsigned(ka) {
-		isUnsigned = true
-	}
-	if rb == maxRank && unsigned(kb) {
-		isUnsigned = true
-	}
-	if maxRank == 2 {
-		if isUnsigned {
-			return cil.Scalar(cil.U64)
-		}
+	// A 64-bit operand makes the result 64-bit, and an unsigned operand of
+	// the result's width makes it unsigned.
+	wide := ka == cil.I64 || ka == cil.U64 || kb == cil.I64 || kb == cil.U64
+	unsigned := func(k cil.Kind) bool { return k == cil.U64 || !wide && k == cil.U32 }
+	switch {
+	case wide && (unsigned(ka) || unsigned(kb)):
+		return cil.Scalar(cil.U64)
+	case wide:
 		return cil.Scalar(cil.I64)
-	}
-	if isUnsigned {
+	case unsigned(ka) || unsigned(kb):
 		return cil.Scalar(cil.U32)
 	}
 	return cil.Scalar(cil.I32)

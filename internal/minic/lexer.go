@@ -1,11 +1,9 @@
 package minic
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
-// Lexer turns MiniC source text into a token stream.
+// Lexer turns MiniC source text into a token stream, one token per Next:
+// tokens are produced as the parser asks for them, and never held in a list.
 type Lexer struct {
 	src  string
 	off  int
@@ -16,23 +14,6 @@ type Lexer struct {
 // NewLexer returns a lexer over the given source text.
 func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
-}
-
-// Lex scans the entire input and returns the token stream terminated by a
-// TokEOF token, or the first lexical error.
-func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var toks []Token
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
-	}
 }
 
 func (lx *Lexer) peek() byte {
@@ -97,108 +78,142 @@ func (lx *Lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-// Next returns the next token.
-func (lx *Lexer) Next() (Token, error) {
+// punct maps each one-byte token that no second byte can extend to its
+// kind; TokEOF marks bytes that start no such token.
+var punct = [...]TokKind{
+	'(': TokLParen, ')': TokRParen, '{': TokLBrace, '}': TokRBrace,
+	'[': TokLBracket, ']': TokRBracket, ',': TokComma, ';': TokSemi,
+	'/': TokSlash, '%': TokPercent, '^': TokCaret, '~': TokTilde,
+}
+
+// Next reads the next token into t: the parser's own token, so that a token
+// is written once, where it is read.
+func (lx *Lexer) Next(t *Token) error {
 	if err := lx.skipSpaceAndComments(); err != nil {
-		return Token{}, err
+		return err
 	}
-	pos := lx.pos()
+	*t = Token{Pos: lx.pos()}
 	if lx.off >= len(lx.src) {
-		return Token{Kind: TokEOF, Pos: pos}, nil
+		return nil
 	}
 	c := lx.peek()
 	switch {
 	case isLetter(c):
-		return lx.lexIdent(pos), nil
+		lx.lexIdent(t)
+		return nil
 	case isDigit(c) || (c == '.' && isDigit(lx.peek2())):
-		return lx.lexNumber(pos)
+		return lx.lexNumber(t)
 	case c == '\'':
-		return lx.lexChar(pos)
+		return lx.lexChar(t)
 	}
 	lx.advance()
-	two := func(next byte, ifTwo, ifOne TokKind) Token {
-		if lx.peek() == next {
-			lx.advance()
-			return Token{Kind: ifTwo, Pos: pos}
-		}
-		return Token{Kind: ifOne, Pos: pos}
-	}
 	switch c {
-	case '(':
-		return Token{Kind: TokLParen, Pos: pos}, nil
-	case ')':
-		return Token{Kind: TokRParen, Pos: pos}, nil
-	case '{':
-		return Token{Kind: TokLBrace, Pos: pos}, nil
-	case '}':
-		return Token{Kind: TokRBrace, Pos: pos}, nil
-	case '[':
-		return Token{Kind: TokLBracket, Pos: pos}, nil
-	case ']':
-		return Token{Kind: TokRBracket, Pos: pos}, nil
-	case ',':
-		return Token{Kind: TokComma, Pos: pos}, nil
-	case ';':
-		return Token{Kind: TokSemi, Pos: pos}, nil
 	case '+':
-		if lx.peek() == '+' {
-			lx.advance()
-			return Token{Kind: TokPlusPlus, Pos: pos}, nil
-		}
-		return two('=', TokPlusEq, TokPlus), nil
+		t.Kind = lx.follow2('+', TokPlusPlus, '=', TokPlusEq, TokPlus)
 	case '-':
-		if lx.peek() == '-' {
-			lx.advance()
-			return Token{Kind: TokMinusMinus, Pos: pos}, nil
-		}
-		return two('=', TokMinusEq, TokMinus), nil
-	case '*':
-		return two('=', TokStarEq, TokStar), nil
-	case '/':
-		return Token{Kind: TokSlash, Pos: pos}, nil
-	case '%':
-		return Token{Kind: TokPercent, Pos: pos}, nil
-	case '^':
-		return Token{Kind: TokCaret, Pos: pos}, nil
-	case '~':
-		return Token{Kind: TokTilde, Pos: pos}, nil
-	case '&':
-		return two('&', TokAndAnd, TokAmp), nil
-	case '|':
-		return two('|', TokOrOr, TokPipe), nil
+		t.Kind = lx.follow2('-', TokMinusMinus, '=', TokMinusEq, TokMinus)
 	case '<':
-		if lx.peek() == '<' {
-			lx.advance()
-			return Token{Kind: TokShl, Pos: pos}, nil
-		}
-		return two('=', TokLe, TokLt), nil
+		t.Kind = lx.follow2('<', TokShl, '=', TokLe, TokLt)
 	case '>':
-		if lx.peek() == '>' {
-			lx.advance()
-			return Token{Kind: TokShr, Pos: pos}, nil
-		}
-		return two('=', TokGe, TokGt), nil
+		t.Kind = lx.follow2('>', TokShr, '=', TokGe, TokGt)
+	case '*':
+		t.Kind = lx.follow('=', TokStarEq, TokStar)
+	case '&':
+		t.Kind = lx.follow('&', TokAndAnd, TokAmp)
+	case '|':
+		t.Kind = lx.follow('|', TokOrOr, TokPipe)
 	case '=':
-		return two('=', TokEq, TokAssign), nil
+		t.Kind = lx.follow('=', TokEq, TokAssign)
 	case '!':
-		return two('=', TokNe, TokBang), nil
+		t.Kind = lx.follow('=', TokNe, TokBang)
+	default:
+		if int(c) < len(punct) {
+			t.Kind = punct[c]
+		}
+		if t.Kind == TokEOF {
+			return errf(t.Pos, "unexpected character %q", string(c))
+		}
 	}
-	return Token{}, errf(pos, "unexpected character %q", string(c))
+	return nil
 }
 
-func (lx *Lexer) lexIdent(pos Pos) Token {
-	start := lx.off
-	for lx.off < len(lx.src) && (isLetter(lx.peek()) || isDigit(lx.peek())) {
+// follow consumes next and returns ifTwo when next is the following byte,
+// and returns ifOne otherwise.
+func (lx *Lexer) follow(next byte, ifTwo, ifOne TokKind) TokKind {
+	if lx.peek() == next {
 		lx.advance()
+		return ifTwo
 	}
-	text := lx.src[start:lx.off]
-	if kw, ok := keywords[text]; ok {
-		return Token{Kind: kw, Pos: pos, Text: text}
-	}
-	return Token{Kind: TokIdent, Pos: pos, Text: text}
+	return ifOne
 }
 
-func (lx *Lexer) lexNumber(pos Pos) (Token, error) {
+// follow2 is follow with two candidate second bytes.
+func (lx *Lexer) follow2(a byte, ifA TokKind, b byte, ifB, ifOne TokKind) TokKind {
+	if lx.peek() == a {
+		lx.advance()
+		return ifA
+	}
+	return lx.follow(b, ifB, ifOne)
+}
+
+// lexIdent reads an identifier or keyword. It holds no newline, so the
+// column moves by its length.
+func (lx *Lexer) lexIdent(t *Token) {
+	start := lx.off
+	for lx.off < len(lx.src) && (isLetter(lx.src[lx.off]) || isDigit(lx.src[lx.off])) {
+		lx.off++
+	}
+	lx.col += lx.off - start
+	t.Text = lx.src[start:lx.off]
+	t.Kind = keyword(t.Text)
+}
+
+// keyword returns the kind of the keyword spelled text, or TokIdent. The
+// compiler turns the switch into a search on the length and the bytes of
+// text, which costs a fraction of a map lookup.
+func keyword(text string) TokKind {
+	switch text {
+	case "if":
+		return TokKwIf
+	case "else":
+		return TokKwElse
+	case "while":
+		return TokKwWhile
+	case "for":
+		return TokKwFor
+	case "return":
+		return TokKwReturn
+	case "new":
+		return TokKwNew
+	case "void":
+		return TokKwVoid
+	case "bool":
+		return TokKwBool
+	case "i8":
+		return TokKwI8
+	case "u8":
+		return TokKwU8
+	case "i16":
+		return TokKwI16
+	case "u16":
+		return TokKwU16
+	case "i32":
+		return TokKwI32
+	case "u32":
+		return TokKwU32
+	case "i64":
+		return TokKwI64
+	case "u64":
+		return TokKwU64
+	case "f32":
+		return TokKwF32
+	case "f64":
+		return TokKwF64
+	}
+	return TokIdent
+}
+
+func (lx *Lexer) lexNumber(t *Token) error {
 	start := lx.off
 	isFloat := false
 	if lx.peek() == '0' && (lx.peek2() == 'x' || lx.peek2() == 'X') {
@@ -210,9 +225,10 @@ func (lx *Lexer) lexNumber(pos Pos) (Token, error) {
 		text := lx.src[start:lx.off]
 		v, err := strconv.ParseUint(text[2:], 16, 64)
 		if err != nil {
-			return Token{}, errf(pos, "bad hexadecimal literal %q", text)
+			return errf(t.Pos, "bad hexadecimal literal %q", text)
 		}
-		return Token{Kind: TokIntLit, Pos: pos, Text: text, Int: int64(v)}, nil
+		t.Kind, t.Text, t.Int = TokIntLit, text, int64(v)
+		return nil
 	}
 	for lx.off < len(lx.src) {
 		c := lx.peek()
@@ -239,27 +255,29 @@ func (lx *Lexer) lexNumber(pos Pos) (Token, error) {
 	if isFloat {
 		v, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			return Token{}, errf(pos, "bad float literal %q", text)
+			return errf(t.Pos, "bad float literal %q", text)
 		}
-		return Token{Kind: TokFloatLit, Pos: pos, Text: text, Float: v}, nil
+		t.Kind, t.Text, t.Float = TokFloatLit, text, v
+		return nil
 	}
 	v, err := strconv.ParseUint(text, 10, 64)
 	if err != nil {
-		return Token{}, errf(pos, "bad integer literal %q", text)
+		return errf(t.Pos, "bad integer literal %q", text)
 	}
-	return Token{Kind: TokIntLit, Pos: pos, Text: text, Int: int64(v)}, nil
+	t.Kind, t.Text, t.Int = TokIntLit, text, int64(v)
+	return nil
 }
 
-func (lx *Lexer) lexChar(pos Pos) (Token, error) {
+func (lx *Lexer) lexChar(t *Token) error {
 	lx.advance() // opening quote
 	if lx.off >= len(lx.src) {
-		return Token{}, errf(pos, "unterminated character literal")
+		return errf(t.Pos, "unterminated character literal")
 	}
 	var v byte
 	c := lx.advance()
 	if c == '\\' {
 		if lx.off >= len(lx.src) {
-			return Token{}, errf(pos, "unterminated character literal")
+			return errf(t.Pos, "unterminated character literal")
 		}
 		esc := lx.advance()
 		switch esc {
@@ -274,16 +292,17 @@ func (lx *Lexer) lexChar(pos Pos) (Token, error) {
 		case '\\', '\'':
 			v = esc
 		default:
-			return Token{}, errf(pos, "unknown escape \\%s", string(esc))
+			return errf(t.Pos, "unknown escape \\%s", string(esc))
 		}
 	} else {
 		v = c
 	}
 	if lx.off >= len(lx.src) || lx.peek() != '\'' {
-		return Token{}, errf(pos, "unterminated character literal")
+		return errf(t.Pos, "unterminated character literal")
 	}
 	lx.advance()
-	return Token{Kind: TokCharLit, Pos: pos, Text: string(v), Int: int64(v)}, nil
+	t.Kind, t.Text, t.Int = TokCharLit, string(v), int64(v)
+	return nil
 }
 
 func isLetter(c byte) bool {
@@ -294,9 +313,4 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 func isHexDigit(c byte) bool {
 	return isDigit(c) || ('a' <= c && c <= 'f') || ('A' <= c && c <= 'F')
-}
-
-// stripBOM removes a UTF-8 byte-order mark if present; exported via Parse.
-func stripBOM(src string) string {
-	return strings.TrimPrefix(src, "\xef\xbb\xbf")
 }

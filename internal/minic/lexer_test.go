@@ -2,6 +2,24 @@ package minic
 
 import "testing"
 
+// Lex scans the entire input and returns the token stream terminated by a
+// TokEOF token, or the first lexical error. The parser never builds such a
+// list; the tests use one to look at what Next produces.
+func Lex(src string) ([]Token, error) {
+	lx := NewLexer(src)
+	var toks []Token
+	for {
+		var t Token
+		if err := lx.Next(&t); err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexBasicTokens(t *testing.T) {
 	src := "i32 main() { return 40 + 2; } // comment"
 	toks, err := Lex(src)

@@ -1,30 +1,109 @@
 package minic
 
-import "repro/internal/cil"
+import (
+	"strings"
+	"sync"
 
-// Parse lexes and parses a MiniC translation unit.
+	"repro/internal/cil"
+)
+
+// Parse lexes and parses a MiniC translation unit (after a UTF-8 byte-order
+// mark, if any) in one pass: the parser pulls tokens from the lexer as it
+// needs them, at most two ahead, and no token list is built. So it reports
+// the first error in source order, lexical or syntactic.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(stripBOM(src))
-	if err != nil {
-		return nil, err
+	p := parsers.Get().(*parser)
+	defer parsers.Put(p)
+	return p.parse(strings.TrimPrefix(src, "\xef\xbb\xbf"))
+}
+
+func (p *parser) parse(src string) (*Program, error) {
+	p.reset(src)
+	defer p.reset("")
+	p.lex(&p.tok)
+	prog, err := p.parseProgram()
+	if p.lexErr != nil {
+		return nil, p.lexErr
 	}
-	p := &parser{toks: toks}
-	return p.parseProgram()
+	return prog, err
 }
 
 type parser struct {
-	toks []Token
-	pos  int
+	lx       Lexer
+	tok      Token // the current token
+	ahead    Token // the next one, pulled by peek while hasAhead
+	hasAhead bool
+	lexErr   error // the lexer's error: the stream ends there, and Parse reports it
+
+	// Lists under construction sit on top of these stacks until their
+	// closing token, then move to exactly sized slices (see collect).
+	funcs  []*FuncDecl
+	params []Param
+	stmts  []Stmt
+	exprs  []Expr
 }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// parsers recycles parsers, so that a warm one's list stacks never grow.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
 
-func (p *parser) at(k TokKind) bool { return p.cur().Kind == k }
+// reset readies p for src, dropping what a failed parse left on its stacks.
+func (p *parser) reset(src string) {
+	clear(p.funcs)
+	clear(p.params)
+	clear(p.stmts)
+	clear(p.exprs)
+	*p = parser{lx: Lexer{src: src, line: 1, col: 1},
+		funcs: p.funcs[:0], params: p.params[:0], stmts: p.stmts[:0], exprs: p.exprs[:0]}
+}
+
+// collect pops the list on *stack from start into a slice of its exact
+// size, nil when it is empty.
+func collect[T any](stack *[]T, start int) []T {
+	s := *stack
+	var out []T
+	if len(s) > start {
+		out = make([]T, len(s)-start)
+		copy(out, s[start:])
+	}
+	clear(s[start:])
+	*stack = s[:start]
+	return out
+}
+
+// lex pulls the next token from the lexer into t.
+func (p *parser) lex(t *Token) {
+	if p.lexErr == nil {
+		p.lexErr = p.lx.Next(t)
+	}
+	if p.lexErr != nil {
+		*t = Token{} // end of file
+	}
+}
+
+func (p *parser) next() Token {
+	t := p.tok
+	if p.hasAhead {
+		p.tok, p.hasAhead = p.ahead, false
+	} else {
+		p.lex(&p.tok)
+	}
+	return t
+}
+
+// peek returns the token after the current one.
+func (p *parser) peek() Token {
+	if !p.hasAhead {
+		p.lex(&p.ahead)
+		p.hasAhead = true
+	}
+	return p.ahead
+}
+
+func (p *parser) at(k TokKind) bool { return p.tok.Kind == k }
 
 func (p *parser) accept(k TokKind) bool {
 	if p.at(k) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -32,63 +111,38 @@ func (p *parser) accept(k TokKind) bool {
 
 func (p *parser) expect(k TokKind) (Token, error) {
 	if !p.at(k) {
-		return Token{}, errf(p.cur().Pos, "expected %s, found %s", k, p.cur())
+		return Token{}, errf(p.tok.Pos, "expected %s, found %s", k, p.tok)
 	}
 	return p.next(), nil
 }
 
 func (p *parser) parseProgram() (*Program, error) {
-	prog := &Program{}
 	for !p.at(TokEOF) {
 		f, err := p.parseFunc()
 		if err != nil {
 			return nil, err
 		}
-		prog.Funcs = append(prog.Funcs, f)
+		p.funcs = append(p.funcs, f)
 	}
-	return prog, nil
+	return &Program{Funcs: collect(&p.funcs, 0)}, nil
 }
 
-// kindOf maps a type keyword to its cil.Kind.
-func kindOf(k TokKind) cil.Kind {
-	switch k {
-	case TokKwVoid:
-		return cil.Void
-	case TokKwBool:
-		return cil.Bool
-	case TokKwI8:
-		return cil.I8
-	case TokKwU8:
-		return cil.U8
-	case TokKwI16:
-		return cil.I16
-	case TokKwU16:
-		return cil.U16
-	case TokKwI32:
-		return cil.I32
-	case TokKwU32:
-		return cil.U32
-	case TokKwI64:
-		return cil.I64
-	case TokKwU64:
-		return cil.U64
-	case TokKwF32:
-		return cil.F32
-	case TokKwF64:
-		return cil.F64
-	}
-	return cil.Void
+// typeKinds maps each type keyword to its cil.Kind.
+var typeKinds = [...]cil.Kind{
+	TokKwVoid: cil.Void, TokKwBool: cil.Bool, TokKwI8: cil.I8, TokKwU8: cil.U8,
+	TokKwI16: cil.I16, TokKwU16: cil.U16, TokKwI32: cil.I32, TokKwU32: cil.U32,
+	TokKwI64: cil.I64, TokKwU64: cil.U64, TokKwF32: cil.F32, TokKwF64: cil.F64,
 }
 
 // parseType parses "kw" optionally followed by "[]" (array-of-kw).
 func (p *parser) parseType() (cil.Type, error) {
-	t := p.cur()
+	t := p.tok
 	if !t.Kind.IsTypeKeyword() {
 		return cil.Type{}, errf(t.Pos, "expected a type, found %s", t)
 	}
 	p.next()
-	k := kindOf(t.Kind)
-	if p.at(TokLBracket) && p.toks[p.pos+1].Kind == TokRBracket {
+	k := typeKinds[t.Kind]
+	if p.at(TokLBracket) && p.peek().Kind == TokRBracket {
 		p.next()
 		p.next()
 		if k == cil.Void {
@@ -100,7 +154,7 @@ func (p *parser) parseType() (cil.Type, error) {
 }
 
 func (p *parser) parseFunc() (*FuncDecl, error) {
-	start := p.cur().Pos
+	start := p.tok.Pos
 	ret, err := p.parseType()
 	if err != nil {
 		return nil, err
@@ -112,9 +166,8 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	var params []Param
 	for !p.at(TokRParen) {
-		if len(params) > 0 {
+		if len(p.params) > 0 {
 			if _, err := p.expect(TokComma); err != nil {
 				return nil, err
 			}
@@ -127,20 +180,12 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Allow the C-style suffix form "u8 a[]".
-		if p.at(TokLBracket) && p.toks[p.pos+1].Kind == TokRBracket {
-			p.next()
-			p.next()
-			if pt.IsArray() {
-				return nil, errf(pn.Pos, "parameter %q declared as array twice", pn.Text)
-			}
-			if pt.Kind == cil.Void {
-				return nil, errf(pn.Pos, "void[] is not a valid type")
-			}
-			pt = cil.Array(pt.Kind)
+		if pt, err = p.arraySuffix(pt, pn, "parameter"); err != nil {
+			return nil, err
 		}
-		params = append(params, Param{Pos: pn.Pos, Name: pn.Text, Type: pt})
+		p.params = append(p.params, Param{Pos: pn.Pos, Name: pn.Text, Type: pt})
 	}
+	params := collect(&p.params, 0)
 	if _, err := p.expect(TokRParen); err != nil {
 		return nil, err
 	}
@@ -156,7 +201,7 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	blk := &BlockStmt{Pos: lb.Pos}
+	start := len(p.stmts)
 	for !p.at(TokRBrace) {
 		if p.at(TokEOF) {
 			return nil, errf(lb.Pos, "unterminated block")
@@ -165,10 +210,10 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		blk.Stmts = append(blk.Stmts, s)
+		p.stmts = append(p.stmts, s)
 	}
 	p.next()
-	return blk, nil
+	return &BlockStmt{Pos: lb.Pos, Stmts: collect(&p.stmts, start)}, nil
 }
 
 // parseBlockOrStmt parses either a braced block or a single statement
@@ -181,58 +226,62 @@ func (p *parser) parseBlockOrStmt() (*BlockStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BlockStmt{Pos: p.cur().Pos, Stmts: []Stmt{s}}, nil
+	return &BlockStmt{Pos: p.tok.Pos, Stmts: []Stmt{s}}, nil
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
-	t := p.cur()
-	switch {
+	var s Stmt
+	var err error
+	switch t := p.tok; {
 	case t.Kind == TokLBrace:
 		return p.parseBlock()
-	case t.Kind.IsTypeKeyword():
-		s, err := p.parseDecl()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSemi); err != nil {
-			return nil, err
-		}
-		return s, nil
 	case t.Kind == TokKwIf:
 		return p.parseIf()
 	case t.Kind == TokKwWhile:
 		return p.parseWhile()
 	case t.Kind == TokKwFor:
 		return p.parseFor()
+	case t.Kind.IsTypeKeyword():
+		s, err = p.parseDecl()
 	case t.Kind == TokKwReturn:
 		p.next()
 		r := &ReturnStmt{Pos: t.Pos}
 		if !p.at(TokSemi) {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			r.Value = e
+			r.Value, err = p.parseExpr()
 		}
-		if _, err := p.expect(TokSemi); err != nil {
-			return nil, err
-		}
-		return r, nil
+		s = r
 	default:
-		s, err := p.parseSimpleStmt()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokSemi); err != nil {
-			return nil, err
-		}
-		return s, nil
+		s, err = p.parseSimpleStmt()
 	}
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(TokSemi); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// arraySuffix parses the C-style suffix form "u8 a[]" after the name of a
+// parameter or variable (what) declared with type typ.
+func (p *parser) arraySuffix(typ cil.Type, name Token, what string) (cil.Type, error) {
+	if !p.at(TokLBracket) || p.peek().Kind != TokRBracket {
+		return typ, nil
+	}
+	p.next()
+	p.next()
+	if typ.IsArray() {
+		return typ, errf(name.Pos, "%s %q declared as array twice", what, name.Text)
+	}
+	if typ.Kind == cil.Void {
+		return typ, errf(name.Pos, "void[] is not a valid type")
+	}
+	return cil.Array(typ.Kind), nil
 }
 
 // parseDecl parses "type ident (= expr)?" without the trailing semicolon.
 func (p *parser) parseDecl() (Stmt, error) {
-	start := p.cur().Pos
+	start := p.tok.Pos
 	typ, err := p.parseType()
 	if err != nil {
 		return nil, err
@@ -241,17 +290,8 @@ func (p *parser) parseDecl() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Allow the C-style suffix form "i32 a[] = ...".
-	if p.at(TokLBracket) && p.toks[p.pos+1].Kind == TokRBracket {
-		p.next()
-		p.next()
-		if typ.IsArray() {
-			return nil, errf(nameTok.Pos, "variable %q declared as array twice", nameTok.Text)
-		}
-		if typ.Kind == cil.Void {
-			return nil, errf(nameTok.Pos, "void[] is not a valid type")
-		}
-		typ = cil.Array(typ.Kind)
+	if typ, err = p.arraySuffix(typ, nameTok, "variable"); err != nil {
+		return nil, err
 	}
 	d := &DeclStmt{Pos: start, Name: nameTok.Text, Typ: typ}
 	if p.accept(TokAssign) {
@@ -264,16 +304,25 @@ func (p *parser) parseDecl() (Stmt, error) {
 	return d, nil
 }
 
-func (p *parser) parseIf() (Stmt, error) {
-	t := p.next()
+// parseParenExpr parses "( expr )".
+func (p *parser) parseParenExpr() (Expr, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	cond, err := p.parseExpr()
+	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(TokRParen); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+func (p *parser) parseIf() (Stmt, error) {
+	t := p.next()
+	cond, err := p.parseParenExpr()
+	if err != nil {
 		return nil, err
 	}
 	then, err := p.parseBlockOrStmt()
@@ -293,14 +342,8 @@ func (p *parser) parseIf() (Stmt, error) {
 
 func (p *parser) parseWhile() (Stmt, error) {
 	t := p.next()
-	if _, err := p.expect(TokLParen); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
+	cond, err := p.parseParenExpr()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.parseBlockOrStmt()
@@ -318,7 +361,7 @@ func (p *parser) parseFor() (Stmt, error) {
 	f := &ForStmt{Pos: t.Pos}
 	if !p.at(TokSemi) {
 		var err error
-		if p.cur().Kind.IsTypeKeyword() {
+		if p.tok.Kind.IsTypeKeyword() {
 			f.Init, err = p.parseDecl()
 		} else {
 			f.Init, err = p.parseSimpleStmt()
@@ -361,12 +404,12 @@ func (p *parser) parseFor() (Stmt, error) {
 // parseSimpleStmt parses an assignment, increment/decrement, compound
 // assignment or expression statement (without the trailing semicolon).
 func (p *parser) parseSimpleStmt() (Stmt, error) {
-	start := p.cur().Pos
+	start := p.tok.Pos
 	lhs, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case TokAssign:
 		p.next()
 		rhs, err := p.parseExpr()
@@ -386,7 +429,13 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 		if err := checkLValue(lhs); err != nil {
 			return nil, err
 		}
-		op := map[TokKind]BinOp{TokPlusEq: OpAdd, TokMinusEq: OpSub, TokStarEq: OpMul}[opTok.Kind]
+		op := OpAdd
+		switch opTok.Kind {
+		case TokMinusEq:
+			op = OpSub
+		case TokStarEq:
+			op = OpMul
+		}
 		return &AssignStmt{Pos: start, LHS: lhs, RHS: &BinaryExpr{Pos: start, Op: op, L: cloneLValue(lhs), R: rhs}}, nil
 	case TokPlusPlus, TokMinusMinus:
 		opTok := p.next()
@@ -428,27 +477,19 @@ func cloneLValue(e Expr) Expr {
 
 // ---- Expressions (precedence climbing) ----
 
-var binPrec = map[TokKind]int{
-	TokOrOr:   1,
-	TokAndAnd: 2,
-	TokPipe:   3,
-	TokCaret:  4,
-	TokAmp:    5,
-	TokEq:     6, TokNe: 6,
-	TokLt: 7, TokLe: 7, TokGt: 7, TokGe: 7,
-	TokShl: 8, TokShr: 8,
-	TokPlus: 9, TokMinus: 9,
-	TokStar: 10, TokSlash: 10, TokPercent: 10,
-}
-
-var binOpOf = map[TokKind]BinOp{
-	TokOrOr: OpLogOr, TokAndAnd: OpLogAnd,
-	TokPipe: OpOr, TokCaret: OpXor, TokAmp: OpAnd,
-	TokEq: OpEq, TokNe: OpNe,
-	TokLt: OpLt, TokLe: OpLe, TokGt: OpGt, TokGe: OpGe,
-	TokShl: OpShl, TokShr: OpShr,
-	TokPlus: OpAdd, TokMinus: OpSub,
-	TokStar: OpMul, TokSlash: OpDiv, TokPercent: OpRem,
+// binOps is the binary operator table, indexed by token kind: precedence
+// (0 for tokens that are no binary operator) and the operator.
+var binOps = [...]struct {
+	prec int
+	op   BinOp
+}{
+	TokOrOr: {1, OpLogOr}, TokAndAnd: {2, OpLogAnd},
+	TokPipe: {3, OpOr}, TokCaret: {4, OpXor}, TokAmp: {5, OpAnd},
+	TokEq: {6, OpEq}, TokNe: {6, OpNe},
+	TokLt: {7, OpLt}, TokLe: {7, OpLe}, TokGt: {7, OpGt}, TokGe: {7, OpGe},
+	TokShl: {8, OpShl}, TokShr: {8, OpShr},
+	TokPlus: {9, OpAdd}, TokMinus: {9, OpSub},
+	TokStar: {10, OpMul}, TokSlash: {10, OpDiv}, TokPercent: {10, OpRem},
 }
 
 func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(1) }
@@ -459,46 +500,35 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 		return nil, err
 	}
 	for {
-		prec, ok := binPrec[p.cur().Kind]
-		if !ok || prec < minPrec {
+		k := p.tok.Kind
+		if int(k) >= len(binOps) || binOps[k].prec == 0 || binOps[k].prec < minPrec {
 			return lhs, nil
 		}
 		opTok := p.next()
-		rhs, err := p.parseBinary(prec + 1)
+		rhs, err := p.parseBinary(binOps[k].prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		lhs = &BinaryExpr{Pos: opTok.Pos, Op: binOpOf[opTok.Kind], L: lhs, R: rhs}
+		lhs = &BinaryExpr{Pos: opTok.Pos, Op: binOps[k].op, L: lhs, R: rhs}
 	}
 }
 
+// unOps maps each prefix operator token to its operator.
+var unOps = [...]UnOp{TokMinus: OpNeg, TokBang: OpNot, TokTilde: OpCompl}
+
 func (p *parser) parseUnary() (Expr, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.Kind {
-	case TokMinus:
+	case TokMinus, TokBang, TokTilde:
 		p.next()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Pos: t.Pos, Op: OpNeg, X: x}, nil
-	case TokBang:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Pos: t.Pos, Op: OpNot, X: x}, nil
-	case TokTilde:
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Pos: t.Pos, Op: OpCompl, X: x}, nil
+		return &UnaryExpr{Pos: t.Pos, Op: unOps[t.Kind], X: x}, nil
 	case TokLParen:
 		// A cast if the parenthesis is followed by a type keyword.
-		if p.toks[p.pos+1].Kind.IsTypeKeyword() {
+		if p.peek().Kind.IsTypeKeyword() {
 			p.next()
 			typ, err := p.parseType()
 			if err != nil {
@@ -523,7 +553,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 		return nil, err
 	}
 	for {
-		switch p.cur().Kind {
+		switch p.tok.Kind {
 		case TokLBracket:
 			lb := p.next()
 			idx, err := p.parseExpr()
@@ -541,7 +571,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.Kind {
 	case TokIntLit, TokCharLit:
 		p.next()
@@ -553,9 +583,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 		p.next()
 		if p.at(TokLParen) {
 			p.next()
-			var args []Expr
+			start := len(p.exprs)
 			for !p.at(TokRParen) {
-				if len(args) > 0 {
+				if len(p.exprs) > start {
 					if _, err := p.expect(TokComma); err != nil {
 						return nil, err
 					}
@@ -564,9 +594,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				args = append(args, a)
+				p.exprs = append(p.exprs, a)
 			}
 			p.next()
+			args := collect(&p.exprs, start)
 			if t.Text == "len" && len(args) == 1 {
 				return &LenExpr{Pos: t.Pos, Arr: args[0]}, nil
 			}
@@ -574,18 +605,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return &Ident{Pos: t.Pos, Name: t.Text}, nil
 	case TokLParen:
-		p.next()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return p.parseParenExpr()
 	case TokKwNew:
 		p.next()
-		elemTok := p.cur()
+		elemTok := p.tok
 		if !elemTok.Kind.IsTypeKeyword() || elemTok.Kind == TokKwVoid {
 			return nil, errf(elemTok.Pos, "expected an element type after new, found %s", elemTok)
 		}
@@ -600,7 +623,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if _, err := p.expect(TokRBracket); err != nil {
 			return nil, err
 		}
-		return &NewArrayExpr{Pos: t.Pos, Elem: kindOf(elemTok.Kind), Len: n}, nil
+		return &NewArrayExpr{Pos: t.Pos, Elem: typeKinds[elemTok.Kind], Len: n}, nil
 	}
 	return nil, errf(t.Pos, "unexpected %s in expression", t)
 }

@@ -201,3 +201,58 @@ func TestParseForVariants(t *testing.T) {
 		t.Errorf("for init = %T, want AssignStmt", loop.Init)
 	}
 }
+
+// TestParseReportsFirstErrorInSourceOrder: the parser pulls tokens as it
+// goes, so an error it meets first is the one reported. A syntax error
+// before a lexical error wins; a lexical error before any syntax error wins.
+func TestParseReportsFirstErrorInSourceOrder(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"i32 f( { return 1; } $", `minic: 1:8: expected a type, found {`},
+		{"i32 f() { return 1 $ }", `minic: 1:20: unexpected character "$"`},
+		{"void f() { i32 x = 'ab'; }", `minic: 1:20: unterminated character literal`},
+		{"void f() { $ }", `minic: 1:12: unexpected character "$"`},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
+// TestParseAllocatesPerNodeNotPerToken: whitespace, comments, the length of
+// identifiers and redundant parentheses change the text or the token stream
+// and not the tree, so they must not change what parsing allocates.
+func TestParseAllocatesPerNodeNotPerToken(t *testing.T) {
+	plain := "i32 f(i32 n, i32 a[]) { i32 s = 0; for (i32 i = 0; i < n; i++) { s += a[i] * 3; } return s; }"
+	padded := `
+/* The same function, spread out and commented. */
+i32   sum_times_three  ( i32 element_count ,   i32 values_to_sum [ ] )
+{
+    // running total
+    i32   running_total   =   0 ;
+    for ( i32 position = 0 ;  position < element_count ;  position ++ )
+    {
+        running_total  +=  values_to_sum [ position ]  *  3 ;   /* scaled */
+    }
+    return   running_total ;
+}
+`
+	parens := "i32 f(i32 n, i32 a[]) { i32 s = ((((0)))); for (i32 i = (0); ((i) < (n)); i++) { s += ((a[(i)])) * ((3)); } return (s); }"
+	// One parser throughout, as the pool hands a warm one to Parse; the
+	// pool itself may drop parsers at any time (the race detector makes it).
+	var p parser
+	allocs := func(src string) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := p.parse(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	want := allocs(plain)
+	for name, src := range map[string]string{"padded": padded, "parenthesized": parens} {
+		if got := allocs(src); got != want {
+			t.Errorf("Parse allocates %v objects for the plain source and %v for the %s one", want, got, name)
+		}
+	}
+}

@@ -64,6 +64,7 @@ const (
 	TokKwFor
 	TokKwReturn
 	TokKwNew
+	// Type keywords, TokKwVoid to TokKwF64 (see IsTypeKeyword).
 	TokKwVoid
 	TokKwBool
 	TokKwI8
@@ -78,7 +79,7 @@ const (
 	TokKwF64
 )
 
-var tokNames = map[TokKind]string{
+var tokNames = [...]string{
 	TokEOF: "end of file", TokIdent: "identifier", TokIntLit: "integer literal",
 	TokFloatLit: "float literal", TokCharLit: "char literal",
 	TokLParen: "(", TokRParen: ")", TokLBrace: "{", TokRBrace: "}",
@@ -97,29 +98,14 @@ var tokNames = map[TokKind]string{
 }
 
 func (k TokKind) String() string {
-	if s, ok := tokNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(tokNames) {
+		return tokNames[k]
 	}
 	return fmt.Sprintf("token(%d)", int(k))
 }
 
-var keywords = map[string]TokKind{
-	"if": TokKwIf, "else": TokKwElse, "while": TokKwWhile, "for": TokKwFor,
-	"return": TokKwReturn, "new": TokKwNew, "void": TokKwVoid, "bool": TokKwBool,
-	"i8": TokKwI8, "u8": TokKwU8, "i16": TokKwI16, "u16": TokKwU16,
-	"i32": TokKwI32, "u32": TokKwU32, "i64": TokKwI64, "u64": TokKwU64,
-	"f32": TokKwF32, "f64": TokKwF64,
-}
-
 // IsTypeKeyword reports whether the token kind names a MiniC type.
-func (k TokKind) IsTypeKeyword() bool {
-	switch k {
-	case TokKwVoid, TokKwBool, TokKwI8, TokKwU8, TokKwI16, TokKwU16,
-		TokKwI32, TokKwU32, TokKwI64, TokKwU64, TokKwF32, TokKwF64:
-		return true
-	}
-	return false
-}
+func (k TokKind) IsTypeKeyword() bool { return k >= TokKwVoid && k <= TokKwF64 }
 
 // Pos is a source position (1-based line and column).
 type Pos struct {

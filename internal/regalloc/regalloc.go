@@ -13,7 +13,8 @@
 package regalloc
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/anno"
@@ -164,22 +165,29 @@ func AnalyzeMethod(m *cil.Method) *Analysis {
 		}
 	}
 
-	for i, st := range slots {
-		if !st.used {
-			continue
+	used := 0
+	for _, st := range slots {
+		if st.used {
+			used++
 		}
-		a.Info.Intervals = append(a.Info.Intervals, anno.SlotInterval{
-			Slot: i, Start: st.start, End: st.end + 1, Weight: st.weight,
-		})
+	}
+	if used > 0 {
+		a.Info.Intervals = make([]anno.SlotInterval, 0, used)
+	}
+	for i, st := range slots {
+		if st.used {
+			a.Info.Intervals = append(a.Info.Intervals, anno.SlotInterval{
+				Slot: i, Start: st.start, End: st.end + 1, Weight: st.weight,
+			})
+		}
 	}
 	// Decreasing weight, ties by slot index: this order *is* the portable
 	// allocation decision the online assigner follows.
-	sort.Slice(a.Info.Intervals, func(i, j int) bool {
-		wi, wj := a.Info.Intervals[i].Weight, a.Info.Intervals[j].Weight
-		if wi != wj {
-			return wi > wj
+	slices.SortFunc(a.Info.Intervals, func(x, y anno.SlotInterval) int {
+		if c := cmp.Compare(y.Weight, x.Weight); c != 0 {
+			return c
 		}
-		return a.Info.Intervals[i].Slot < a.Info.Intervals[j].Slot
+		return cmp.Compare(x.Slot, y.Slot)
 	})
 	return a
 }

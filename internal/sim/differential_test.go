@@ -888,38 +888,36 @@ func TestWideLaneVectorOpsMatchReference(t *testing.T) {
 	}
 }
 
-// TestFPVectorKernelsSteadyStateZeroAlloc: the float vector kernels of
-// Table 1 on the SIMD target run their in-place vector operations without
-// a single heap allocation per call.
-func TestFPVectorKernelsSteadyStateZeroAlloc(t *testing.T) {
-	tgt := target.MustLookup(target.X86SSE)
-	for _, name := range []string{"vecadd_fp", "saxpy_fp", "dscal_fp"} {
+// TestTable1CellsSteadyStateZeroAlloc: every Table 1 cell (kernel x
+// target, SIMD or scalarized) runs its steady-state call — a warm machine
+// over inputs already in its memory — without a single heap allocation.
+func TestTable1CellsSteadyStateZeroAlloc(t *testing.T) {
+	for _, name := range kernels.Table1Names {
 		res, k, err := core.CompileKernel(name, core.OfflineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dep, err := core.Deploy(res.Encoded, tgt, jit.Options{RegAlloc: jit.RegAllocSplit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		in, err := kernels.NewInputs(name, 256, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		args, _ := bench.MarshalKernelArgs(dep.Machine, in)
-		if _, err := dep.Machine.Call(k.Entry, args...); err != nil {
-			t.Fatal(err)
-		}
-		if dep.Machine.Stats.VectorOps == 0 {
-			t.Fatalf("%s executed no vector instruction on %s", name, tgt.Arch)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
+		for _, tgt := range target.Table1() {
+			dep, err := core.Deploy(res.Encoded, tgt, jit.Options{RegAlloc: jit.RegAllocSplit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := kernels.NewInputs(name, 256, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			args, _ := bench.MarshalKernelArgs(dep.Machine, in)
 			if _, err := dep.Machine.Call(k.Entry, args...); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s/%s: %.1f allocs per call, want 0", name, tgt.Arch, allocs)
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := dep.Machine.Call(k.Entry, args...); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%s: %.1f allocs per call, want 0", name, tgt.Arch, allocs)
+			}
 		}
 	}
 }

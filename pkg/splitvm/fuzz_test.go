@@ -1,11 +1,14 @@
 package splitvm
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cil"
 )
 
 // FuzzModulePipeline feeds mutated byte streams through the full untrusted
@@ -76,6 +79,37 @@ func FuzzModulePipeline(f *testing.F) {
 				// (a failed one may be over by the growth that tripped it).
 				t.Fatalf("guest charged %d bytes past its %d-byte limit", used, limit)
 			}
+		}
+	})
+}
+
+// FuzzCompileSource feeds arbitrary text to the offline compiler, seeded
+// with every kernel and example program. Engine.Compile never panics; what
+// it accepts decodes from its own bytes into a module that verifies, and
+// re-encodes to exactly those bytes.
+func FuzzCompileSource(f *testing.F) {
+	for _, src := range exampleSources(f) {
+		f.Add(src)
+	}
+	for _, k := range Kernels() {
+		f.Add(k.Source)
+	}
+	f.Add(genTemplateSource(2))
+	f.Fuzz(func(t *testing.T, src string) {
+		m, err := New().Compile(src)
+		if err != nil {
+			return
+		}
+		enc := m.Encoded()
+		mod, err := cil.Decode(enc)
+		if err != nil {
+			t.Fatalf("accepted module does not decode: %v", err)
+		}
+		if err := cil.Verify(mod); err != nil {
+			t.Fatalf("accepted module does not verify: %v", err)
+		}
+		if again := cil.Encode(mod); !bytes.Equal(again, enc) {
+			t.Fatal("Encode(Decode(Encoded())) differs from Encoded()")
 		}
 	})
 }

@@ -55,13 +55,9 @@ type ModuleStats struct {
 	OfflineSteps int64
 }
 
+// newCompiledModule wraps a module the offline compiler verified: its
+// methods carry the proofs deployments JIT from, and nothing writes to it.
 func newCompiledModule(res *core.OfflineResult) (*Module, error) {
-	// Verify once at construction: deployments JIT from the shared decoded
-	// module concurrently, and verification is the only stage that writes
-	// into it (per-method MaxStack).
-	if err := cil.Verify(res.Module); err != nil {
-		return nil, err
-	}
 	m := &Module{
 		mod:     res.Module,
 		encoded: res.Encoded,

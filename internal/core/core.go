@@ -22,6 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/anno"
@@ -178,6 +179,19 @@ type Image struct {
 	// ResolveMethod (see lazy.go). Nil — the default — is the eager image
 	// with every method compiled up front.
 	lazy *lazyState
+
+	// code is the decoded code every machine of the image shares, made on
+	// first use (see Code).
+	codeOnce sync.Once
+	code     *sim.Code
+}
+
+// Code returns the pre-decoded form of the image's native code that every
+// machine it instantiates executes: each function is decoded once per
+// image, on its first call on any of them.
+func (img *Image) Code() *sim.Code {
+	img.codeOnce.Do(func() { img.code = sim.NewCode(img.Target) })
+	return img.code
 }
 
 // BuildImage decodes, verifies and JIT-compiles an encoded module for a
@@ -243,21 +257,21 @@ func ImageFromVerifiedModule(mod *cil.Module, tgt *target.Desc, jopts jit.Option
 }
 
 // Instantiate creates a fresh machine executing the image. The machine owns
-// its memory and statistics; eager images share their immutable program
-// between machines, so concurrent instantiations are safe. Lazy images give
-// every machine its own program value — the machine patches it as methods
-// resolve — pre-seeded with whatever methods earlier deployments already
-// compiled, all resolving through the image's shared singleflight table.
+// its registers, frames, memory and statistics; the image owns the native
+// and the decoded code every machine shares, so concurrent instantiations
+// are safe. Lazy images give every machine its own program value — the
+// machine patches it as methods resolve — pre-seeded with whatever methods
+// earlier deployments already compiled, all resolving through the image's
+// shared singleflight table.
 func (img *Image) Instantiate() *Deployment {
 	prog := img.Program
-	var machine *sim.Machine
 	if img.lazy != nil {
 		prog = nisa.NewProgram(img.Target.Name)
 		img.lazy.snapshot(prog)
-		machine = sim.New(img.Target, prog)
+	}
+	machine := sim.NewWithCode(prog, img.Code())
+	if img.lazy != nil {
 		machine.SetResolver(lazyResolverFor(img))
-	} else {
-		machine = sim.New(img.Target, prog)
 	}
 	d := &Deployment{
 		Target:              img.Target,
@@ -274,7 +288,7 @@ func (img *Image) Instantiate() *Deployment {
 	if envTier() {
 		d.EnableTiering(TierOptions{})
 	}
-	if ml := envMemLimit(); ml > 0 {
+	if ml := EnvMemLimit(); ml > 0 {
 		d.SetMemLimit(ml)
 	}
 	return d
@@ -383,7 +397,7 @@ func Deploy(encoded []byte, tgt *target.Desc, jopts jit.Options) (*Deployment, e
 		return nil, err
 	}
 	var img *Image
-	if envLazy() {
+	if EnvLazy() {
 		img, err = LazyImageFromVerifiedModule(mod, tgt, jopts)
 	} else {
 		img, err = ImageFromVerifiedModule(mod, tgt, jopts)

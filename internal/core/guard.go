@@ -21,13 +21,13 @@ import (
 	"repro/internal/sim"
 )
 
-// envMemLimit is the SPLITVM_MEM_LIMIT override, read once per process: a
-// positive byte count governs the guest memory of every instantiated
-// deployment. CI uses it to prove the governor's zero-drift property — the
-// full gated benchmark suite runs generously governed and must match the
-// ungoverned baseline exactly — without threading an option through every
-// harness (the same pattern as SPLITVM_TIER and SPLITVM_LAZY).
-var envMemLimit = sync.OnceValue(func() int64 {
+// EnvMemLimit is the SPLITVM_MEM_LIMIT override, read once per process: a
+// positive byte count governs the guest memory of every deployment. CI uses
+// it to prove the governor's zero-drift property — the full gated benchmark
+// suite runs generously governed and must match the ungoverned baseline
+// exactly — without threading an option through every harness (the same
+// pattern as SPLITVM_TIER and SPLITVM_LAZY).
+var EnvMemLimit = sync.OnceValue(func() int64 {
 	v := os.Getenv("SPLITVM_MEM_LIMIT")
 	if v == "" {
 		return 0

@@ -336,12 +336,12 @@ func (ls *lazyState) compile(mod *cil.Module, m *cil.Method) (f *nisa.Func, nano
 	return f, time.Since(start).Nanoseconds(), false, nil
 }
 
-// envLazy is the SPLITVM_LAZY override, read once per process: "1" (or "on")
-// makes core.Deploy build lazy images. CI uses it to prove the zero-drift
+// EnvLazy is the SPLITVM_LAZY override, read once per process: "1" (or
+// "on") makes every deployment lazy. CI uses it to prove the zero-drift
 // property — the full gated benchmark suite runs with lazy compilation
 // enabled and must match the eager baseline exactly — without threading an
 // option through every harness.
-var envLazy = sync.OnceValue(func() bool {
+var EnvLazy = sync.OnceValue(func() bool {
 	v := os.Getenv("SPLITVM_LAZY")
 	return v == "1" || v == "on"
 })

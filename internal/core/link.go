@@ -34,6 +34,8 @@ type Linked struct {
 
 	byQual map[string]int // hex-qualifier of cil.ImportSym → unit index
 	byName map[string]int // plain method name → owning unit index
+	// code is the decoded code every machine spanning the set shares.
+	code *sim.Code
 }
 
 // NewLinked validates a link set. All units must target the same processor
@@ -44,12 +46,13 @@ func NewLinked(units []LinkUnit) (*Linked, error) {
 	if len(units) == 0 {
 		return nil, fmt.Errorf("core: link set is empty")
 	}
+	first := units[0].Image
 	l := &Linked{
 		Units:  units,
 		byQual: make(map[string]int, len(units)),
 		byName: make(map[string]int),
+		code:   sim.NewCode(first.Target),
 	}
-	first := units[0].Image
 	byHash := make(map[[cil.HashSize]byte]int, len(units))
 	for i, u := range units {
 		img := u.Image
@@ -222,9 +225,10 @@ func (l *Linked) ensureCompiled(ctx context.Context, prog *nisa.Program) error {
 
 // Instantiate creates a machine spanning the whole link set: one program
 // holding every resolved method under its plain name plus alias entries for
-// the hash-qualified symbols cross-module call sites use. Eager sets start
-// fully populated; lazy sets start with whatever is ready and resolve the
-// rest on first call.
+// the hash-qualified symbols cross-module call sites use, executing the
+// decoded code every machine of the set shares. Eager sets start fully
+// populated; lazy sets start with whatever is ready and resolve the rest on
+// first call.
 func (l *Linked) Instantiate() *Deployment {
 	root := l.Units[0].Image
 	prog := nisa.NewProgram(root.Target.Name)
@@ -251,7 +255,7 @@ func (l *Linked) Instantiate() *Deployment {
 			}
 		}
 	}
-	machine := sim.New(root.Target, prog)
+	machine := sim.NewWithCode(prog, l.code)
 	machine.SetResolver(func(ctx context.Context, sym string) (*nisa.Func, error) {
 		return l.ResolveMethod(ctx, sym)
 	})
@@ -273,7 +277,7 @@ func (l *Linked) Instantiate() *Deployment {
 	if envTier() {
 		d.EnableTiering(TierOptions{})
 	}
-	if ml := envMemLimit(); ml > 0 {
+	if ml := EnvMemLimit(); ml > 0 {
 		d.SetMemLimit(ml)
 	}
 	return d

@@ -260,7 +260,7 @@ func (c *Compiler) compileMethod(st *compileState, mod *cil.Module, m *cil.Metho
 	}
 	f := &nisa.Func{
 		Name:   m.Name,
-		Params: append([]cil.Type(nil), m.Params...),
+		Params: funcParams(m),
 		Ret:    m.Ret,
 		Code:   tr.code,
 		Stats:  tr.stats,
@@ -271,4 +271,14 @@ func (c *Compiler) compileMethod(st *compileState, mod *cil.Module, m *cil.Metho
 		return nil, nil, fmt.Errorf("jit: %s: register assignment: %w", m.Name, err)
 	}
 	return f, neg.Outcomes, nil
+}
+
+// funcParams returns the parameter list of m's compiled function: the
+// verified module's own slice, which nothing mutates (capped, so an append
+// copies), or nil when empty, as the native codec decodes it.
+func funcParams(m *cil.Method) []cil.Type {
+	if len(m.Params) == 0 {
+		return nil
+	}
+	return m.Params[:len(m.Params):len(m.Params)]
 }

@@ -34,7 +34,7 @@ func (c *Compiler) CompileMethodProfiled(mod *cil.Module, m *cil.Method, fp *pro
 	}
 	f := &nisa.Func{
 		Name:   m.Name,
-		Params: append([]cil.Type(nil), m.Params...),
+		Params: funcParams(m),
 		Ret:    m.Ret,
 		Code:   tr.code,
 		Stats:  tr.stats,

@@ -141,8 +141,8 @@ func (a *assigner) regRefs(in *nisa.Instr) (defs, uses []*nisa.Reg) {
 	case nisa.Ret:
 		uses = add(uses, &in.Ra)
 	case nisa.Call:
-		for i := range in.Args {
-			uses = add(uses, &in.Args[i])
+		for i := range in.Call.Args {
+			uses = add(uses, &in.Call.Args[i])
 		}
 		defs = add(defs, &in.Rd)
 	default:
@@ -174,12 +174,12 @@ func (a *assigner) computeIntervals() {
 		defs, uses := a.regRefs(&a.f.Code[pos])
 		for _, r := range defs {
 			if r.Virtual {
-				a.touch(r.Index, pos)
+				a.touch(int(r.Index), pos)
 			}
 		}
 		for _, r := range uses {
 			if r.Virtual {
-				a.touch(r.Index, pos)
+				a.touch(int(r.Index), pos)
 			}
 		}
 	}
@@ -190,8 +190,8 @@ func (a *assigner) computeIntervals() {
 func (a *assigner) loopRegions() [][2]int {
 	regions := a.regionBuf[:0]
 	for pos := range a.f.Code {
-		if in := &a.f.Code[pos]; in.Op.IsBranch() && in.Target <= pos {
-			regions = append(regions, [2]int{in.Target, pos})
+		if in := &a.f.Code[pos]; in.Op.IsBranch() && int(in.Target) <= pos {
+			regions = append(regions, [2]int{int(in.Target), pos})
 		}
 	}
 	a.regionBuf = regions
@@ -583,10 +583,10 @@ func (a *assigner) rewrite() {
 	oldToNew := growInts(a.posMapBuf, len(a.f.Code)+1)
 
 	phys := func(r nisa.Reg) nisa.Reg {
-		return nisa.Reg{Class: r.Class, Index: a.assigned[r.Index]}
+		return nisa.Reg{Class: r.Class, Index: int32(a.assigned[r.Index])}
 	}
 	scratch := func(class nisa.RegClass, n int) nisa.Reg {
-		return nisa.Reg{Class: class, Index: a.classRegs(class) + n}
+		return nisa.Reg{Class: class, Index: int32(a.classRegs(class) + n)}
 	}
 
 	// Every call's ArgSlots is carved from one slab: one allocation a
@@ -594,7 +594,7 @@ func (a *assigner) rewrite() {
 	slotSlab := 0
 	for pos := range a.f.Code {
 		if a.f.Code[pos].Op == nisa.Call {
-			slotSlab += len(a.f.Code[pos].Args)
+			slotSlab += len(a.f.Code[pos].Call.Args)
 		}
 	}
 	slab := make([]int, slotSlab)
@@ -610,7 +610,7 @@ func (a *assigner) rewrite() {
 		// reads them from there directly. Args is the translator's own
 		// slice, rewritten in place: the virtual-register code dies here.
 		if in.Op == nisa.Call {
-			args := in.Args
+			args := in.Call.Args
 			slots := slab[:len(args):len(args)]
 			slab = slab[len(args):]
 			for i, r := range args {
@@ -623,7 +623,7 @@ func (a *assigner) rewrite() {
 					args[i] = phys(r)
 				}
 			}
-			in.ArgSlots = slots
+			in.Call.ArgSlots = slots
 			if in.Rd.Class != nisa.ClassNone && in.Rd.Virtual {
 				if a.assigned[in.Rd.Index] < 0 {
 					slot := a.slot[in.Rd.Index]
@@ -679,7 +679,7 @@ func (a *assigner) rewrite() {
 	// Re-target branches to the new instruction positions.
 	for i := range out {
 		if out[i].Op.IsBranch() {
-			out[i].Target = oldToNew[out[i].Target]
+			out[i].Target = int32(oldToNew[out[i].Target])
 		}
 	}
 	final := make([]nisa.Instr, len(out))

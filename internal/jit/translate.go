@@ -69,6 +69,9 @@ type translator struct {
 	nativeStart []int
 	fixups      []fixup
 	canon       map[canonKey]int
+	// calls is the method's call sites: a fresh slab sized to its calls, so
+	// no append moves a site an instruction points to.
+	calls []nisa.CallInfo
 
 	lastCmp cmpState
 
@@ -96,6 +99,13 @@ func (t *translator) reset(c *Compiler, mod *cil.Module, m *cil.Method, st *comp
 	}
 	t.lastCmp = cmpState{}
 	t.stats = nisa.Stats{}
+	calls := 0
+	for i := range m.Code {
+		if m.Code[i].Op == cil.Call {
+			calls++
+		}
+	}
+	t.calls = make([]nisa.CallInfo, 0, calls)
 }
 
 // newVreg allocates a fresh virtual register of the given class.
@@ -112,7 +122,7 @@ func (t *translator) newNamedVreg(class nisa.RegClass, slot int) int {
 
 // vr wraps a virtual register index as a nisa.Reg operand.
 func (t *translator) vr(i int) nisa.Reg {
-	return nisa.Reg{Class: t.vregs[i].class, Index: i, Virtual: true}
+	return nisa.Reg{Class: t.vregs[i].class, Index: int32(i), Virtual: true}
 }
 
 func (t *translator) emit(in nisa.Instr) int {
@@ -329,7 +339,7 @@ func (t *translator) run() error {
 
 	// Resolve branch targets from bytecode indices to native indices.
 	for _, f := range t.fixups {
-		t.code[f.codeIdx].Target = t.nativeStart[f.bcTarget]
+		t.code[f.codeIdx].Target = int32(t.nativeStart[f.bcTarget])
 	}
 	t.stats.CompileSteps += int64(len(t.code))
 	return nil
@@ -487,7 +497,8 @@ func (t *translator) translate(in *cil.Instr) error {
 		for i := len(params) - 1; i >= 0; i-- {
 			args[i] = t.vr(t.materialize(t.pop()))
 		}
-		call := nisa.Instr{Op: nisa.Call, Sym: in.Str, Args: args}
+		t.calls = append(t.calls, nisa.CallInfo{Sym: in.Str, Args: args})
+		call := nisa.Instr{Op: nisa.Call, Call: &t.calls[len(t.calls)-1]}
 		if ret.Kind != cil.Void {
 			retKind := slotKindOf(ret).StackKind()
 			rd := t.newVreg(classOfStack(retKind))

@@ -22,7 +22,8 @@ import (
 //     zero. Decoded code is reflect.DeepEqual to the code that was encoded,
 //     including nil versus empty Args/ArgSlots and the bit pattern of FImm
 //     (NaN payloads, -0); an empty Params or Code decodes as nil, which is
-//     what the JIT produces.
+//     what the JIT produces, and an instruction has a Call record exactly
+//     when one of Sym, Args or ArgSlots is set.
 //   - Validated. Decoding checks structure, not just framing: opcodes, kinds,
 //     conditions and register indices are in range, branch targets lie inside
 //     the function, spill-slot and GetArg operands inside the frame and the
@@ -135,6 +136,10 @@ func appendInstr(dst []byte, in *Instr) []byte {
 		}
 	}
 	fimm := math.Float64bits(in.FImm)
+	var call CallInfo
+	if in.Call != nil {
+		call = *in.Call
+	}
 	set(in.Kind != 0, hasKind)
 	set(in.Rd != Reg{}, hasRd)
 	set(in.Ra != Reg{}, hasRa)
@@ -144,9 +149,9 @@ func appendInstr(dst []byte, in *Instr) []byte {
 	set(in.Target != 0, hasTarget)
 	set(in.SrcKind != 0, hasSrcKind)
 	set(fimm != 0, hasFImm)
-	set(in.Sym != "", hasSym)
-	set(in.Args != nil, hasArgs)
-	set(in.ArgSlots != nil, hasArgSlots)
+	set(call.Sym != "", hasSym)
+	set(call.Args != nil, hasArgs)
+	set(call.ArgSlots != nil, hasArgSlots)
 
 	dst = append(dst, byte(in.Op))
 	dst = binary.AppendUvarint(dst, mask)
@@ -178,17 +183,17 @@ func appendInstr(dst []byte, in *Instr) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, fimm)
 	}
 	if mask&hasSym != 0 {
-		dst = wire.AppendString(dst, in.Sym)
+		dst = wire.AppendString(dst, call.Sym)
 	}
 	if mask&hasArgs != 0 {
-		dst = binary.AppendUvarint(dst, uint64(len(in.Args)))
-		for _, a := range in.Args {
+		dst = binary.AppendUvarint(dst, uint64(len(call.Args)))
+		for _, a := range call.Args {
 			dst = binary.AppendUvarint(dst, packReg(a))
 		}
 	}
 	if mask&hasArgSlots != 0 {
-		dst = binary.AppendUvarint(dst, uint64(len(in.ArgSlots)))
-		for _, s := range in.ArgSlots {
+		dst = binary.AppendUvarint(dst, uint64(len(call.ArgSlots)))
+		for _, s := range call.ArgSlots {
 			dst = binary.AppendVarint(dst, int64(s))
 		}
 	}
@@ -247,7 +252,7 @@ func readReg(r *wire.Reader, allowZero bool) Reg {
 		r.Fail(errMalformed)
 		return Reg{}
 	}
-	return Reg{Class: RegClass(v & 3), Index: int(v >> 3), Virtual: v&4 != 0}
+	return Reg{Class: RegClass(v & 3), Index: int32(v >> 3), Virtual: v&4 != 0}
 }
 
 // DecodeFunc decodes and validates one function from r. Failures are
@@ -313,7 +318,11 @@ func decodeInstr(r *wire.Reader, in *Instr, f *Func) {
 		in.Cond = Cond(r.Byte())
 	}
 	if mask&hasTarget != 0 {
-		in.Target = r.Int()
+		t := r.Varint()
+		if t != int64(int32(t)) {
+			r.Fail(errMalformed)
+		}
+		in.Target = int32(t)
 	}
 	if mask&hasSrcKind != 0 {
 		in.SrcKind = readKind(r, false)
@@ -323,8 +332,13 @@ func decodeInstr(r *wire.Reader, in *Instr, f *Func) {
 		fimm = r.Uint64()
 		in.FImm = math.Float64frombits(fimm)
 	}
+	var call *CallInfo
+	if mask&(hasSym|hasArgs|hasArgSlots) != 0 {
+		call = new(CallInfo)
+		in.Call = call
+	}
 	if mask&hasSym != 0 {
-		in.Sym = r.String()
+		call.Sym = r.String()
 	}
 	if mask&hasArgs != 0 {
 		n := r.Count(1)
@@ -332,24 +346,24 @@ func decodeInstr(r *wire.Reader, in *Instr, f *Func) {
 			r.Fail(errMalformed)
 			return
 		}
-		in.Args = make([]Reg, n)
-		for i := range in.Args {
-			in.Args[i] = readReg(r, true)
+		call.Args = make([]Reg, n)
+		for i := range call.Args {
+			call.Args[i] = readReg(r, true)
 		}
 	}
 	if mask&hasArgSlots != 0 {
 		n := r.Count(1)
-		if n != len(in.Args) {
+		if n != len(call.Args) {
 			r.Fail(errMalformed)
 			return
 		}
-		in.ArgSlots = make([]int, n)
-		for i := range in.ArgSlots {
+		call.ArgSlots = make([]int, n)
+		for i := range call.ArgSlots {
 			s := r.Int()
 			if s < -1 || s >= f.FrameSlots {
 				r.Fail(errMalformed)
 			}
-			in.ArgSlots[i] = s
+			call.ArgSlots[i] = s
 		}
 	}
 
@@ -357,12 +371,12 @@ func decodeInstr(r *wire.Reader, in *Instr, f *Func) {
 	// checked as they were read); anything else has a shorter encoding.
 	if mask&hasImm != 0 && in.Imm == 0 || mask&hasCond != 0 && in.Cond == 0 ||
 		mask&hasTarget != 0 && in.Target == 0 || mask&hasFImm != 0 && fimm == 0 ||
-		mask&hasSym != 0 && in.Sym == "" || in.Cond > CondGe {
+		mask&hasSym != 0 && call.Sym == "" || in.Cond > CondGe {
 		r.Fail(errMalformed)
 	}
 	switch in.Op {
 	case Jump, BranchCmp:
-		if in.Target < 0 || in.Target >= len(f.Code) {
+		if in.Target < 0 || int(in.Target) >= len(f.Code) {
 			r.Fail(errMalformed)
 		}
 	case SpillLoad, SpillStore:

@@ -2,6 +2,7 @@ package nisa_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -109,11 +110,13 @@ func TestCodecRoundTripsCompiledCode(t *testing.T) {
 				t.Fatalf("%s: function %s does not round-trip alone (err %v)", name, f.Name, err)
 			}
 			for _, in := range f.Code {
-				sawEmptyArgs = sawEmptyArgs || in.Args != nil && len(in.Args) == 0
 				sawFImm = sawFImm || in.FImm != 0
 				sawVector = sawVector || in.Op.IsVector()
-				for _, s := range in.ArgSlots {
-					sawArgSlots = sawArgSlots || s >= 0
+				if c := in.Call; c != nil {
+					sawEmptyArgs = sawEmptyArgs || c.Args != nil && len(c.Args) == 0
+					for _, s := range c.ArgSlots {
+						sawArgSlots = sawArgSlots || s >= 0
+					}
 				}
 			}
 		}
@@ -154,10 +157,10 @@ func TestCodecPreservesEdgeValues(t *testing.T) {
 	f.Code = append(f.Code,
 		nisa.Instr{Op: nisa.MovImm, Kind: cil.I64, Rd: nisa.NoReg, Imm: math.MinInt64},
 		nisa.Instr{Op: nisa.MovImm, Rd: nisa.Reg{Class: nisa.ClassVec, Index: 65535, Virtual: true}, Imm: math.MaxInt64},
-		nisa.Instr{Op: nisa.Call, Sym: "g"},
-		nisa.Instr{Op: nisa.Call, Sym: "g", Args: []nisa.Reg{}},
-		nisa.Instr{Op: nisa.Call, Sym: "g", Args: []nisa.Reg{}, ArgSlots: []int{}},
-		nisa.Instr{Op: nisa.Call, Sym: "g", Args: []nisa.Reg{{}, nisa.NoReg}, ArgSlots: []int{-1, 2}},
+		nisa.Instr{Op: nisa.Call, Call: &nisa.CallInfo{Sym: "g"}},
+		nisa.Instr{Op: nisa.Call, Call: &nisa.CallInfo{Sym: "g", Args: []nisa.Reg{}}},
+		nisa.Instr{Op: nisa.Call, Call: &nisa.CallInfo{Sym: "g", Args: []nisa.Reg{}, ArgSlots: []int{}}},
+		nisa.Instr{Op: nisa.Call, Call: &nisa.CallInfo{Sym: "g", Args: []nisa.Reg{{}, nisa.NoReg}, ArgSlots: []int{-1, 2}}},
 		nisa.Instr{Op: nisa.Conv, Kind: cil.F32, SrcKind: cil.U8, Cond: nisa.CondGe},
 		nisa.Instr{Op: nisa.BranchCmp, Cond: nisa.CondLt, Target: 1},
 		nisa.Instr{Op: nisa.GetArg, Imm: 1},
@@ -180,8 +183,9 @@ func TestCodecPreservesEdgeValues(t *testing.T) {
 		t.Errorf("decoded function differs:\n got %+v\nwant %+v", got, f)
 	}
 	for i := range f.Code {
-		if (got.Code[i].Args == nil) != (f.Code[i].Args == nil) || (got.Code[i].ArgSlots == nil) != (f.Code[i].ArgSlots == nil) {
-			t.Errorf("instr %d: nil-ness of Args/ArgSlots changed", i)
+		g, w := got.Code[i].Call, f.Code[i].Call
+		if (g == nil) != (w == nil) || g != nil && ((g.Args == nil) != (w.Args == nil) || (g.ArgSlots == nil) != (w.ArgSlots == nil)) {
+			t.Errorf("instr %d: nil-ness of Call/Args/ArgSlots changed", i)
 		}
 	}
 }
@@ -207,12 +211,14 @@ func TestDecodeRejectsInvalidStructure(t *testing.T) {
 		"frame too large":          func(f *nisa.Func) { f.FrameSlots = 1<<16 + 1 },
 		"spill slot outside frame": func(f *nisa.Func) { f.Code[0] = nisa.Instr{Op: nisa.SpillLoad, Imm: 2} },
 		"argument outside params":  func(f *nisa.Func) { f.Code[0].Imm = 1 },
-		"too many call arguments":  func(f *nisa.Func) { f.Code[0] = nisa.Instr{Op: nisa.Call, Args: make([]nisa.Reg, 1<<10+1)} },
+		"too many call arguments": func(f *nisa.Func) {
+			f.Code[0] = nisa.Instr{Op: nisa.Call, Call: &nisa.CallInfo{Args: make([]nisa.Reg, 1<<10+1)}}
+		},
 		"ArgSlots/Args mismatch": func(f *nisa.Func) {
-			f.Code[0] = nisa.Instr{Op: nisa.Call, Args: make([]nisa.Reg, 2), ArgSlots: []int{-1}}
+			f.Code[0] = nisa.Instr{Op: nisa.Call, Call: &nisa.CallInfo{Args: make([]nisa.Reg, 2), ArgSlots: []int{-1}}}
 		},
 		"arg slot outside frame": func(f *nisa.Func) {
-			f.Code[0] = nisa.Instr{Op: nisa.Call, Args: make([]nisa.Reg, 1), ArgSlots: []int{2}}
+			f.Code[0] = nisa.Instr{Op: nisa.Call, Call: &nisa.CallInfo{Args: make([]nisa.Reg, 1), ArgSlots: []int{2}}}
 		},
 	}
 	if _, _, err := decodeFunc(nisa.AppendFunc(nil, base())); err != nil {
@@ -235,6 +241,13 @@ func TestDecodeRejectsInvalidStructure(t *testing.T) {
 	zeroField := append(append([]byte{}, enc[:len(enc)-1]...), 0x01, 0x00) // Kind present but Void
 	if _, _, err := decodeFunc(zeroField); err == nil {
 		t.Error("present-but-zero field accepted")
+	}
+	// A Target that does not fit the instruction's int32 would re-encode to
+	// other bytes.
+	enc = nisa.AppendFunc(nil, &nisa.Func{Name: "f", Code: []nisa.Instr{{Op: nisa.Add, Target: 5}}})
+	wide := binary.AppendVarint(append([]byte{}, enc[:len(enc)-1]...), 1<<32)
+	if _, _, err := decodeFunc(wide); err == nil {
+		t.Error("target beyond int32 accepted")
 	}
 	prog := nisa.NewProgram("t")
 	prog.Add(&nisa.Func{Name: "a"})

@@ -54,11 +54,12 @@ func ClassOf(k cil.Kind) RegClass {
 }
 
 // Reg is a physical or virtual register. Virtual registers (used between
-// translation and register assignment) have Virtual == true.
+// translation and register assignment) have Virtual == true. A Reg is 8
+// bytes: the codec bounds Index far below 2^31.
 type Reg struct {
 	Class   RegClass
-	Index   int
 	Virtual bool
+	Index   int32
 }
 
 func (r Reg) String() string {
@@ -292,25 +293,34 @@ func CondOf(op cil.Opcode) Cond {
 	}
 }
 
-// Instr is one native instruction. Field use depends on the opcode.
+// Instr is one native instruction. Field use depends on the opcode. An
+// Instr is 56 bytes: what only calls use lives behind Call.
 type Instr struct {
 	Op   Op
 	Kind cil.Kind
 	// SrcKind is the source kind of a Conv (the destination kind is Kind).
 	SrcKind cil.Kind
 	Cond    Cond
-	Rd      Reg
-	Ra      Reg
-	Rb      Reg
+	// Target is the instruction index a Jump or BranchCmp transfers to.
+	Target int32
+	Rd     Reg
+	Ra     Reg
+	Rb     Reg
 	// Imm is the integer immediate; for Load/Store/VLoad/VStore it is an
 	// additional element displacement (address = Ra + (Rb+Imm)*size), which
 	// the scalarizer uses for per-lane accesses.
-	Imm    int64
-	FImm   float64
-	Target int
-	Sym    string
-	// Args lists the argument registers of a Call in ABI order; it is used
-	// by the simulator to marshal the callee frame.
+	Imm  int64
+	FImm float64
+	// Call is the call site of a Call instruction; nil on every other one.
+	Call *CallInfo
+}
+
+// CallInfo is the part of a Call instruction no other instruction needs.
+type CallInfo struct {
+	// Sym names the callee.
+	Sym string
+	// Args lists the argument registers in ABI order; the simulator
+	// marshals the callee frame from them.
 	Args []Reg
 	// ArgSlots, when non-nil, gives for each argument the frame spill slot
 	// it lives in (-1 when the argument is in Args[i]); filled in by the
@@ -351,11 +361,15 @@ func (in Instr) String() string {
 	case SetCmp:
 		return fmt.Sprintf("%-8s %s, %s, %s", opKind(in)+"."+in.Cond.String(), in.Rd, in.Ra, in.Rb)
 	case Call:
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
+		var c CallInfo
+		if in.Call != nil {
+			c = *in.Call
+		}
+		args := make([]string, len(c.Args))
+		for i, a := range c.Args {
 			args[i] = a.String()
 		}
-		return fmt.Sprintf("%-8s %s(%s) -> %s", in.Op, in.Sym, strings.Join(args, ", "), in.Rd)
+		return fmt.Sprintf("%-8s %s(%s) -> %s", in.Op, c.Sym, strings.Join(args, ", "), in.Rd)
 	case Neg, Not, FNeg, Conv, VSplat, VRedAdd, VRedMax, VRedMin:
 		return fmt.Sprintf("%-8s %s, %s", opKind(in), in.Rd, in.Ra)
 	default:

@@ -3,6 +3,7 @@ package nisa
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cil"
 )
@@ -61,7 +62,7 @@ func TestInstrStringsAndDisassembly(t *testing.T) {
 			{Op: SpillStore, Rd: r0, Imm: 2},
 			{Op: BranchCmp, Kind: cil.I32, Cond: CondLt, Ra: r0, Rb: r0, Target: 9},
 			{Op: Select, Kind: cil.I32, Cond: CondGt, Rd: r0, Ra: r0, Rb: r0},
-			{Op: Call, Sym: "callee", Args: []Reg{r0}, Rd: r0},
+			{Op: Call, Call: &CallInfo{Sym: "callee", Args: []Reg{r0}}, Rd: r0},
 			{Op: VSplat, Kind: cil.U8, Rd: Reg{Class: ClassVec}, Ra: r0},
 			{Op: Alloc, Kind: cil.I32, Rd: r0, Ra: r0},
 			{Op: ArrLen, Rd: r0, Ra: r0},
@@ -115,5 +116,16 @@ func TestClassOf(t *testing.T) {
 	}
 	if ClassInt.String() != "r" || ClassFloat.String() != "f" || ClassVec.String() != "v" || ClassNone.String() != "-" {
 		t.Error("class names wrong")
+	}
+}
+
+// TestInstructionFootprint pins the size of what every compiled function
+// keeps per instruction: calls carry their operands behind a pointer.
+func TestInstructionFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(Reg{}); n > 8 {
+		t.Errorf("Reg is %d bytes, want <= 8", n)
+	}
+	if n := unsafe.Sizeof(Instr{}); n > 64 {
+		t.Errorf("Instr is %d bytes, want <= 64", n)
 	}
 }

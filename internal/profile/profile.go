@@ -103,7 +103,7 @@ func BlockFreqs(code []nisa.Instr, fp *FuncProfile) ([]int64, error) {
 		}
 		bc := fp.Branches[ord]
 		ord++
-		if in.Target >= 0 && in.Target <= len(code) {
+		if in.Target >= 0 && int(in.Target) <= len(code) {
 			takenIn[in.Target] += bc.Taken
 			leader[in.Target] = true
 		}

@@ -24,7 +24,7 @@ import (
 // sumProgram is a hand-written scalar loop (no JIT) summing an i32 array:
 // the smallest possible steady-state workload for the dispatch loop.
 func sumProgram() *nisa.Program {
-	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: int32(i)} }
 	f := &nisa.Func{
 		Name:   "sum",
 		Params: []cil.Type{cil.Array(cil.I32), cil.Scalar(cil.I32)},

@@ -16,7 +16,7 @@ import (
 // traffic, so tests can make runs arbitrarily long without allocating
 // simulated arrays.
 func countProgram() *nisa.Program {
-	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: int32(i)} }
 	f := &nisa.Func{
 		Name:   "count",
 		Params: []cil.Type{cil.Scalar(cil.I64)},

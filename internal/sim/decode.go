@@ -2,10 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"repro/internal/cil"
 	"repro/internal/nisa"
 	"repro/internal/prim"
+	"repro/internal/target"
 )
 
 // This file implements the pre-decoded execution core: the split-compilation
@@ -13,10 +16,10 @@ import (
 // depends only on the instruction and the target — operand-class resolution,
 // signedness and normalization parameters, per-instruction cycle costs from
 // the cost model, callee lookup, memory-access spans — is done once per
-// function (on its first call on a machine) and recorded in a flat dinstr
-// array. The steady-state dispatch loop in sim.go then runs without generic
-// dispatch, map lookups, error plumbing for infallible operations, or
-// allocations.
+// function and target (on its first call on any machine sharing the Code,
+// see code.go) and recorded in a flat dinstr array. The steady-state
+// dispatch loop in sim.go then runs without generic dispatch, map lookups,
+// error plumbing for infallible operations, or allocations.
 //
 // Decoding never rejects a program: instructions the fast paths do not
 // cover (mismatched kind/class combinations, unknown opcodes, vector
@@ -164,8 +167,9 @@ type argsrc struct {
 	float bool  // register class (float vs int)
 }
 
-// dinstr is one pre-decoded instruction. Field use depends on x; rd/ra/rb
-// are register-file indices with the class resolved by the xop.
+// dinstr is one pre-decoded instruction: 64 bytes, one cache line. Field
+// use depends on x; rd/ra/rb are register-file indices with the class
+// resolved by the xop.
 type dinstr struct {
 	x        xop
 	mode     uint8 // cmp* for comparisons, ret* for calls
@@ -186,66 +190,48 @@ type dinstr struct {
 	span       int32 // byte span of a memory access (bounds check)
 	prof       int32 // branch-counter base index (xJump/xBranchCmp): 2*ordinal
 
-	imm  int64
-	fimm float64
+	// imm is the integer immediate; xMovFImm keeps its float's bits here.
+	imm int64
+	// site is the call site of xCall and the message of xTrap.
+	site *callSite
+}
 
-	callee *nisa.Func
+// callSite is what only calls and traps need. It is shared by every machine
+// executing the function, and immutable once published except callee: a
+// callee the decoding machine's program did not hold is bound on the first
+// call that resolves it, by whichever machine gets there first. Every
+// machine of one Code resolves a symbol to the same function (through the
+// image's singleflight table), so racing stores write the same pointer.
+type callSite struct {
+	callee atomic.Pointer[nisa.Func]
 	sym    string // call symbol, kept for resolver-based late binding
 	args   []argsrc
 	errMsg string
 }
 
-// dfunc is one pre-decoded function, plus its tiering state (see tier.go):
-// the profile counters are per machine and per function, live outside
-// Stats (ResetStats does not clear them), and are only allocated when
-// tiering is enabled — the tier-1 steady state stays allocation-free.
+// dfunc is one pre-decoded function.
 type dfunc struct {
 	code []dinstr
 	fn   *nisa.Func
-
-	// calls counts invocations; branchCounts holds one taken/not-taken
-	// counter pair per branch in pc order (nil with tiering off). seeded
-	// remembers the invocation count imported from a warm profile, so
-	// promotion latency is measured in local calls only.
-	calls        uint64
-	seeded       uint64
-	branchCounts []uint64
-	promoted     bool
 }
 
-// decodedFunc returns the pre-decoded form of f, decoding it on first use.
-func (m *Machine) decodedFunc(f *nisa.Func) *dfunc {
-	if df, ok := m.decoded[f]; ok {
-		return df
-	}
-	df := m.decodeFunc(f)
-	m.decoded[f] = df
-	return df
-}
-
-func (m *Machine) decodeFunc(f *nisa.Func) *dfunc {
+func (c *Code) decodeFunc(f *nisa.Func, prog *nisa.Program) *dfunc {
 	code := make([]dinstr, len(f.Code))
 	branches := int32(0)
 	for pc := range f.Code {
-		m.decodeInstr(&f.Code[pc], &code[pc])
+		c.decodeInstr(&f.Code[pc], &code[pc], prog)
 		if f.Code[pc].Op.IsBranch() {
 			code[pc].prof = 2 * branches
 			branches++
 		}
 	}
-	df := &dfunc{code: code, fn: f}
-	if m.tier != nil {
-		m.tier.initFunc(df)
-	}
-	return df
+	return &dfunc{code: code, fn: f}
 }
 
-func (m *Machine) decodeInstr(in *nisa.Instr, d *dinstr) {
-	cost := &m.Target.Cost
+func (c *Code) decodeInstr(in *nisa.Instr, d *dinstr, prog *nisa.Program) {
+	cost := &c.target.Cost
 	d.kind = in.Kind
-	d.rd = int32(in.Rd.Index)
-	d.ra = int32(in.Ra.Index)
-	d.rb = int32(in.Rb.Index)
+	d.rd, d.ra, d.rb = in.Rd.Index, in.Ra.Index, in.Rb.Index
 	d.imm = in.Imm
 
 	switch in.Op {
@@ -255,7 +241,7 @@ func (m *Machine) decodeInstr(in *nisa.Instr, d *dinstr) {
 	case nisa.MovImm:
 		d.x, d.cost = xMovImm, int32(cost.Move)
 	case nisa.MovFImm:
-		d.x, d.cost, d.fimm = xMovFImm, int32(cost.Move), in.FImm
+		d.x, d.cost, d.imm = xMovFImm, int32(cost.Move), int64(math.Float64bits(in.FImm))
 	case nisa.Mov:
 		d.cost = int32(cost.Move)
 		switch in.Rd.Class {
@@ -370,7 +356,7 @@ func (m *Machine) decodeInstr(in *nisa.Instr, d *dinstr) {
 		d.dstFloat = in.Rd.Class == nisa.ClassFloat
 
 	case nisa.Load:
-		d.decodeMem(in, m.memCost(in.Kind, cost.Load))
+		d.decodeMem(in, memCost(cost, in.Kind, cost.Load))
 		switch {
 		case in.Rd.Class == nisa.ClassFloat && in.Kind.IsFloat():
 			d.x = xLoadFloat
@@ -381,7 +367,7 @@ func (m *Machine) decodeInstr(in *nisa.Instr, d *dinstr) {
 			d.dstFloat = in.Rd.Class == nisa.ClassFloat
 		}
 	case nisa.Store:
-		d.decodeMem(in, m.memCost(in.Kind, cost.Store))
+		d.decodeMem(in, memCost(cost, in.Kind, cost.Store))
 		switch {
 		case in.Rd.Class == nisa.ClassFloat && in.Kind.IsFloat():
 			d.x = xStoreFloat
@@ -416,38 +402,43 @@ func (m *Machine) decodeInstr(in *nisa.Instr, d *dinstr) {
 	case nisa.Alloc:
 		d.x, d.cost = xAlloc, int32(cost.Call)
 	case nisa.ArrLen:
-		d.x, d.cost = xArrLen, int32(m.memCost(cil.I32, cost.Load))
+		d.x, d.cost = xArrLen, int32(memCost(cost, cil.I32, cost.Load))
 
 	case nisa.Jump:
-		d.x, d.cost, d.target = xJump, int32(cost.BranchTaken), int32(in.Target)
+		d.x, d.cost, d.target = xJump, int32(cost.BranchTaken), in.Target
 	case nisa.BranchCmp:
-		d.x, d.target = xBranchCmp, int32(in.Target)
+		d.x, d.target = xBranchCmp, in.Target
 		d.cost, d.cost2 = int32(cost.BranchTaken), int32(cost.BranchNotTaken)
 		d.decodeCmp(in)
 
 	case nisa.Call:
 		d.x = xCall
-		// The callee is resolved once; unknown callees keep reporting the
+		var call nisa.CallInfo
+		if in.Call != nil {
+			call = *in.Call
+		}
+		// The callee is bound once; unknown callees keep reporting the
 		// original runtime error if the call ever executes — unless the
 		// machine has a resolver, which binds the kept symbol on first call.
-		d.callee = m.Program.Func(in.Sym)
-		d.sym = in.Sym
-		if d.callee == nil {
-			d.errMsg = fmt.Sprintf("unknown callee %q", in.Sym)
+		site := &callSite{sym: call.Sym, args: make([]argsrc, len(call.Args))}
+		if callee := prog.Func(call.Sym); callee != nil {
+			site.callee.Store(callee)
+		} else {
+			site.errMsg = fmt.Sprintf("unknown callee %q", call.Sym)
 		}
+		d.site = site
 		// Argument marshalling cost is fixed per call site: one load per
 		// spilled argument, one move per register argument.
 		marshal := 0
-		d.args = make([]argsrc, len(in.Args))
-		for i, r := range in.Args {
-			src := argsrc{slot: -1, idx: int32(r.Index), float: r.Class == nisa.ClassFloat}
-			if in.ArgSlots != nil && in.ArgSlots[i] >= 0 {
-				src.slot = int32(in.ArgSlots[i])
+		for i, r := range call.Args {
+			src := argsrc{slot: -1, idx: r.Index, float: r.Class == nisa.ClassFloat}
+			if call.ArgSlots != nil && call.ArgSlots[i] >= 0 {
+				src.slot = int32(call.ArgSlots[i])
 				marshal += cost.Load
 			} else {
 				marshal += cost.Move
 			}
-			d.args[i] = src
+			site.args[i] = src
 		}
 		d.cost = int32(marshal + cost.Call)
 		switch in.Rd.Class {
@@ -472,9 +463,9 @@ func (m *Machine) decodeInstr(in *nisa.Instr, d *dinstr) {
 
 	case nisa.VLoad, nisa.VStore, nisa.VAdd, nisa.VSub, nisa.VMul, nisa.VMax, nisa.VMin,
 		nisa.VSplat, nisa.VRedAdd, nisa.VRedMax, nisa.VRedMin:
-		if !m.Target.HasSIMD {
+		if !c.target.HasSIMD {
 			d.x = xTrap
-			d.errMsg = fmt.Sprintf("vector instruction %s on a target without a vector unit", in.Op)
+			d.site = trap(fmt.Sprintf("vector instruction %s on a target without a vector unit", in.Op))
 			return
 		}
 		switch in.Op {
@@ -510,11 +501,24 @@ func (m *Machine) decodeInstr(in *nisa.Instr, d *dinstr) {
 	default:
 		d.x = xTrap
 		if in.Op.IsVector() {
-			d.errMsg = fmt.Sprintf("unimplemented vector opcode %s", in.Op)
+			d.site = trap(fmt.Sprintf("unimplemented vector opcode %s", in.Op))
 		} else {
-			d.errMsg = fmt.Sprintf("unimplemented opcode %s", in.Op)
+			d.site = trap(fmt.Sprintf("unimplemented opcode %s", in.Op))
 		}
 	}
+}
+
+// trap is the record of an instruction that fails when it executes.
+func trap(msg string) *callSite { return &callSite{errMsg: msg} }
+
+// memCost charges a scalar memory access, including the target's sub-word and
+// address-calculation penalties.
+func memCost(c *target.CostModel, k cil.Kind, base int) int64 {
+	cycles := base + c.AddrCalcPenalty
+	if k.Size() < 4 {
+		cycles += c.SubWordPenalty
+	}
+	return int64(cycles)
 }
 
 // decodeCmp resolves the comparison source file, interpretation and

@@ -393,7 +393,7 @@ func (m *refMachine) exec(f *nisa.Func, args []sim.Value) (sim.Value, error) {
 			m.stats.Cycles += m.memCost(cil.I32, cost.Load)
 
 		case nisa.Jump:
-			next = in.Target
+			next = int(in.Target)
 			m.stats.Branches++
 			m.stats.Cycles += int64(cost.BranchTaken)
 		case nisa.BranchCmp:
@@ -403,27 +403,27 @@ func (m *refMachine) exec(f *nisa.Func, args []sim.Value) (sim.Value, error) {
 			}
 			m.stats.Branches++
 			if res {
-				next = in.Target
+				next = int(in.Target)
 				m.stats.Cycles += int64(cost.BranchTaken)
 			} else {
 				m.stats.Cycles += int64(cost.BranchNotTaken)
 			}
 
 		case nisa.Call:
-			callee := m.prog.Func(in.Sym)
+			callee := m.prog.Func(in.Call.Sym)
 			if callee == nil {
-				return sim.Value{}, fmt.Errorf("ref: %s @%d: unknown callee %q", f.Name, pc, in.Sym)
+				return sim.Value{}, fmt.Errorf("ref: %s @%d: unknown callee %q", f.Name, pc, in.Call.Sym)
 			}
-			cargs := make([]sim.Value, len(in.Args))
-			for i := range in.Args {
-				if in.ArgSlots != nil && in.ArgSlots[i] >= 0 {
-					slot := fr.spill[in.ArgSlots[i]]
+			cargs := make([]sim.Value, len(in.Call.Args))
+			for i := range in.Call.Args {
+				if in.Call.ArgSlots != nil && in.Call.ArgSlots[i] >= 0 {
+					slot := fr.spill[in.Call.ArgSlots[i]]
 					bits := refUint64(slot[:8])
 					cargs[i] = sim.Value{I: int64(bits), F: math.Float64frombits(bits)}
 					m.stats.Cycles += int64(cost.Load)
 					continue
 				}
-				r := in.Args[i]
+				r := in.Call.Args[i]
 				if r.Class == nisa.ClassFloat {
 					cargs[i] = sim.Value{F: fr.flts[r.Index]}
 				} else {
@@ -705,14 +705,14 @@ func refPutUint64(b []byte, v uint64) {
 // The second vload is followed by a vector op and the second vector op by
 // the vstore, so tier 2 fuses both vector pairs.
 func vectorLaneProgram(k cil.Kind, op nisa.Op) *nisa.Program {
-	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
-	v := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassVec, Index: i} }
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: int32(i)} }
+	v := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassVec, Index: int32(i)} }
 	// Scalars of the element kind (the splat source, the reduction result)
 	// live in the float file for F32/F64, the integer file otherwise. The
 	// integer file is kept to ten registers, all the smallest target has.
 	sc := func(i int) nisa.Reg {
 		if k.IsFloat() {
-			return nisa.Reg{Class: nisa.ClassFloat, Index: i}
+			return nisa.Reg{Class: nisa.ClassFloat, Index: int32(i)}
 		}
 		return r(8 + i)
 	}

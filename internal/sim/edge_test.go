@@ -10,9 +10,9 @@ import (
 	"repro/internal/vm"
 )
 
-func intReg(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
-func fltReg(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassFloat, Index: i} }
-func vecReg(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassVec, Index: i} }
+func intReg(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: int32(i)} }
+func fltReg(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassFloat, Index: int32(i)} }
+func vecReg(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassVec, Index: int32(i)} }
 
 func machineFor(t *testing.T, arch target.Arch, fns ...*nisa.Func) *Machine {
 	t.Helper()
@@ -113,7 +113,7 @@ func TestMaxCallDepth(t *testing.T) {
 		Name: "f",
 		Ret:  cil.Scalar(cil.I32),
 		Code: []nisa.Instr{
-			{Op: nisa.Call, Sym: "f", Rd: intReg(0)},
+			{Op: nisa.Call, Call: &nisa.CallInfo{Sym: "f"}, Rd: intReg(0)},
 			{Op: nisa.Ret, Kind: cil.I32, Ra: intReg(0)},
 		},
 	}

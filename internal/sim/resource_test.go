@@ -57,7 +57,7 @@ func TestBudgetExhaustionIsTyped(t *testing.T) {
 // countdownProgram holds count(n), a loop that retires exactly 3n+5
 // instructions, and thrice(n), which calls count(n) three times.
 func countdownProgram() *nisa.Program {
-	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: int32(i)} }
 	prog := nisa.NewProgram("budget")
 	prog.Add(&nisa.Func{
 		Name:   "count",
@@ -73,7 +73,7 @@ func countdownProgram() *nisa.Program {
 			{Op: nisa.Ret, Kind: cil.I32, Ra: r(0)},
 		},
 	})
-	call := nisa.Instr{Op: nisa.Call, Sym: "count", Rd: r(1), Args: []nisa.Reg{r(0)}}
+	call := nisa.Instr{Op: nisa.Call, Call: &nisa.CallInfo{Sym: "count", Args: []nisa.Reg{r(0)}}, Rd: r(1)}
 	prog.Add(&nisa.Func{
 		Name:   "thrice",
 		Params: []cil.Type{cil.Scalar(cil.I32)},
@@ -181,7 +181,7 @@ func TestMemAccountingDeterministicAndTight(t *testing.T) {
 // allocProgram returns a program whose single function allocates an i64
 // array of n elements and returns its address.
 func allocProgram(n int64) *nisa.Program {
-	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: int32(i)} }
 	prog := nisa.NewProgram("p")
 	prog.Add(&nisa.Func{
 		Name: "f",

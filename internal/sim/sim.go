@@ -13,7 +13,9 @@
 // lowered once, on its first call, into flat records with operand classes,
 // signedness, cycle costs and callee pointers resolved, and the dispatch
 // loop below runs those records with zero heap allocations in steady state
-// (frames and argument buffers are pooled per call depth). The machine
+// (frames and argument buffers are pooled per call depth). The records live
+// in a Code that every machine over the same image shares (code.go), so a
+// machine is its registers, frames, heap and statistics. The machine
 // assumes the program's code is not mutated after its first execution.
 package sim
 
@@ -90,8 +92,9 @@ type Machine struct {
 	// per target at construction.
 	ni, nf, nv int
 
-	// decoded caches the pre-decoded form of each executed function.
-	decoded map[*nisa.Func]*dfunc
+	// code is the pre-decoded form of the program's functions, shared with
+	// every machine instantiated over the same image (see Code).
+	code *Code
 	// frames pools one activation record per call depth, so the steady-state
 	// dispatch loop allocates nothing.
 	frames []*dframe
@@ -164,17 +167,28 @@ const (
 	defaultMaxSteps = 2_000_000_000
 )
 
-// New returns a machine for the target and program. The initial heap is
-// small and grows on demand.
+// New returns a machine for the target and program that decodes the
+// program for itself. The initial heap is small and grows on demand.
 func New(t *target.Desc, prog *nisa.Program) *Machine {
-	m := &Machine{Target: t, Program: prog, MaxSteps: defaultMaxSteps, interruptAt: math.MaxInt64}
+	return NewWithCode(prog, NewCode(t))
+}
+
+// NewWithCode returns a machine for prog that shares the decoded code of
+// every other machine built over code. Machines sharing a Code must
+// resolve every call symbol to the same function: they share one program,
+// or resolve through the same image.
+func NewWithCode(prog *nisa.Program, code *Code) *Machine {
+	t := code.target
+	m := &Machine{Target: t, Program: prog, MaxSteps: defaultMaxSteps, interruptAt: math.MaxInt64, code: code}
 	// Address 0 is the null reference; start the heap past it.
 	m.mem = make([]byte, 64)
 	// The JIT reserves a few scratch registers beyond the allocatable files.
 	m.ni, m.nf, m.nv = t.IntRegs+4, t.FloatRegs+4, t.VecRegs+4
-	m.decoded = make(map[*nisa.Func]*dfunc)
 	return m
 }
+
+// Code returns the decoded code the machine executes.
+func (m *Machine) Code() *Code { return m.code }
 
 // ResetStats clears the execution statistics (the memory image is kept).
 // Tiering profile counters are not statistics and survive a reset: they
@@ -375,7 +389,7 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 	if m.callDep > maxCallDepth {
 		return Value{}, fmt.Errorf("sim: call depth exceeds %d", maxCallDepth)
 	}
-	df := m.decodedFunc(f)
+	df := m.code.decoded(f, m.Program)
 	fr := m.frameAt(m.callDep)
 	clear(fr.ints)
 	clear(fr.flts)
@@ -397,15 +411,16 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 	}
 	budgetEnd := m.budgetEnd
 	stats := &m.Stats
+	code := df.code
 	var bcnt []uint64 // branch profile counters; nil keeps tiering free
 	if t := m.tier; t != nil {
-		df.calls++
-		if !df.promoted && t.threshold >= 0 && df.calls >= uint64(t.threshold) {
-			m.promoteFunc(df)
+		tf := t.funcFor(df)
+		tf.calls++
+		if !tf.promoted && t.threshold >= 0 && tf.calls >= uint64(t.threshold) {
+			m.promoteFunc(tf)
 		}
-		bcnt = df.branchCounts
+		code, bcnt = tf.code, tf.branchCounts
 	}
-	code := df.code
 
 	pc := 0
 	for {
@@ -429,7 +444,7 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 			fr.ints[d.rd] = d.imm
 			stats.Cycles += int64(d.cost)
 		case xMovFImm:
-			fr.flts[d.rd] = d.fimm
+			fr.flts[d.rd] = math.Float64frombits(uint64(d.imm))
 			stats.Cycles += int64(d.cost)
 		case xMovInt:
 			fr.ints[d.rd] = fr.ints[d.ra]
@@ -732,26 +747,28 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 			}
 
 		case xCall:
-			if d.callee == nil {
-				// Slow path, taken at most once per call site: lazy callees
-				// resolve through the machine's resolver and patch the
-				// pre-decoded record; without a resolver the decode-time
-				// error is reported here, like the original interpreter.
+			site := d.site
+			callee := site.callee.Load()
+			if callee == nil {
+				// Slow path, taken until the call site is bound: lazy callees
+				// resolve through the machine's resolver and bind the shared
+				// call site; without a resolver the decode-time error is
+				// reported here, like the original interpreter.
 				if m.resolver == nil {
-					return Value{}, fmt.Errorf("sim: %s @%d: %s", f.Name, pc, d.errMsg)
+					return Value{}, fmt.Errorf("sim: %s @%d: %s", f.Name, pc, site.errMsg)
 				}
-				callee := m.Program.Func(d.sym)
+				callee = m.Program.Func(site.sym)
 				if callee == nil {
 					var err error
-					if callee, err = m.resolve(d.sym); err != nil {
-						return Value{}, fmt.Errorf("sim: %s @%d: call %q: %w", f.Name, pc, d.sym, err)
+					if callee, err = m.resolve(site.sym); err != nil {
+						return Value{}, fmt.Errorf("sim: %s @%d: call %q: %w", f.Name, pc, site.sym, err)
 					}
 				}
-				d.callee = callee
+				site.callee.Store(callee)
 			}
-			cargs := m.argBuf(m.frameAt(m.callDep+1), len(d.args))
-			for i := range d.args {
-				src := &d.args[i]
+			cargs := m.argBuf(m.frameAt(m.callDep+1), len(site.args))
+			for i := range site.args {
+				src := &site.args[i]
 				if src.slot >= 0 {
 					bits := binary.LittleEndian.Uint64(fr.spill[src.slot][:8])
 					cargs[i] = argval{i: int64(bits), f: math.Float64frombits(bits)}
@@ -763,7 +780,7 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 			}
 			stats.Cycles += int64(d.cost) // marshalling + call overhead
 			stats.Calls++
-			ret, err := m.exec(d.callee, cargs)
+			ret, err := m.exec(callee, cargs)
 			if err != nil {
 				return Value{}, err
 			}
@@ -955,20 +972,10 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 			next = pc + 2
 
 		default: // xTrap
-			return Value{}, fmt.Errorf("sim: %s @%d: %s", f.Name, pc, d.errMsg)
+			return Value{}, fmt.Errorf("sim: %s @%d: %s", f.Name, pc, d.site.errMsg)
 		}
 		pc = next
 	}
-}
-
-// memCost charges a scalar memory access, including the target's sub-word and
-// address-calculation penalties.
-func (m *Machine) memCost(k cil.Kind, base int) int64 {
-	c := base + m.Target.Cost.AddrCalcPenalty
-	if k.Size() < 4 {
-		c += m.Target.Cost.SubWordPenalty
-	}
-	return int64(c)
 }
 
 func aluCost(c *target.CostModel, op nisa.Op) int64 {

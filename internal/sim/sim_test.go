@@ -17,7 +17,7 @@ import (
 //	loop: if i >= n goto done; r4 = load arr[i]; acc += r4; i += 1; jump loop
 //	done: ret acc
 func handProgram() *nisa.Program {
-	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: int32(i)} }
 	f := &nisa.Func{
 		Name:   "sum",
 		Params: []cil.Type{cil.Array(cil.I32), cil.Scalar(cil.I32)},
@@ -95,7 +95,7 @@ func TestMachineArrayRoundTrip(t *testing.T) {
 }
 
 func TestMachineTraps(t *testing.T) {
-	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: int32(i)} }
 	mk := func(code ...nisa.Instr) *Machine {
 		f := &nisa.Func{Name: "f", Ret: cil.Scalar(cil.I32), Code: code}
 		p := nisa.NewProgram("t")
@@ -168,8 +168,8 @@ func TestMachineTraps(t *testing.T) {
 
 func TestVectorInstructionSemantics(t *testing.T) {
 	tgt := target.MustLookup(target.X86SSE)
-	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
-	v := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassVec, Index: i} }
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: int32(i)} }
+	v := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassVec, Index: int32(i)} }
 	// f(arr): v0 = vload arr[0]; v1 = splat(3); v2 = vmax(v0, v1); ret vredadd(v2)
 	f := &nisa.Func{
 		Name:   "f",

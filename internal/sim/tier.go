@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/nisa"
@@ -69,22 +70,31 @@ type tierState struct {
 	promote   PromoteFunc
 	warm      map[string]*profile.FuncProfile
 	stats     TierStats
+	funcs     map[*nisa.Func]*tierFunc
+}
+
+// tierFunc is a tiered machine's private copy of a decoded function, which
+// it counts into and fuses instead of the shared records. branchCounts
+// holds a taken/not-taken pair per branch in pc order; seeded is the call
+// count a warm profile imported. Counters survive ResetStats.
+type tierFunc struct {
+	code         []dinstr
+	fn           *nisa.Func
+	calls        uint64
+	seeded       uint64
+	branchCounts []uint64
+	promoted     bool
 }
 
 // EnableTiering turns on profiling and tier-2 promotion under the given
 // policy. It must be called before or between executions, not
-// concurrently with them; functions decoded earlier start profiling from
+// concurrently with them; functions that ran earlier start profiling from
 // zero at their next call.
 func (m *Machine) EnableTiering(p profile.Policy) {
 	if m.tier == nil {
 		m.tier = &tierState{}
 	}
 	m.tier.threshold = p.Threshold()
-	for _, df := range m.decoded {
-		if df.branchCounts == nil {
-			m.tier.initFunc(df)
-		}
-	}
 }
 
 // TieringEnabled reports whether the machine profiles and promotes.
@@ -115,10 +125,10 @@ func (m *Machine) WarmProfile(p *profile.ModuleProfile) {
 	for i := range p.Funcs {
 		m.tier.warm[p.Funcs[i].Name] = &p.Funcs[i]
 	}
-	// Re-seed functions that were already decoded.
-	for _, df := range m.decoded {
-		if df.branchCounts != nil && !df.promoted {
-			m.tier.seedFunc(df)
+	// Re-seed functions that already run tiered.
+	for _, tf := range m.tier.funcs {
+		if !tf.promoted {
+			m.tier.seedFunc(tf)
 		}
 	}
 }
@@ -131,10 +141,14 @@ func (m *Machine) TierStats() TierStats {
 	return m.tier.stats
 }
 
-// initFunc readies a freshly decoded function for profiling: branch
-// counters in pc order (two per branch) and, when an imported profile
-// covers the function, warm-seeded counts.
-func (t *tierState) initFunc(df *dfunc) {
+// funcFor returns the machine's private copy of a decoded function,
+// making it on the function's first tiered call: the records copied from
+// the shared Code, branch counters in pc order (two per branch) and, when
+// an imported profile covers the function, warm-seeded counts.
+func (t *tierState) funcFor(df *dfunc) *tierFunc {
+	if tf := t.funcs[df.fn]; tf != nil {
+		return tf
+	}
 	nb := 0
 	for i := range df.code {
 		switch df.code[i].x {
@@ -142,21 +156,26 @@ func (t *tierState) initFunc(df *dfunc) {
 			nb++
 		}
 	}
-	df.branchCounts = make([]uint64, 2*nb)
-	t.seedFunc(df)
+	tf := &tierFunc{code: slices.Clone(df.code), fn: df.fn, branchCounts: make([]uint64, 2*nb)}
+	if t.funcs == nil {
+		t.funcs = make(map[*nisa.Func]*tierFunc)
+	}
+	t.funcs[df.fn] = tf
+	t.seedFunc(tf)
+	return tf
 }
 
-func (t *tierState) seedFunc(df *dfunc) {
-	fp := t.warm[df.fn.Name]
+func (t *tierState) seedFunc(tf *tierFunc) {
+	fp := t.warm[tf.fn.Name]
 	if fp == nil {
 		return
 	}
-	df.calls = fp.Calls
-	df.seeded = fp.Calls
-	if 2*len(fp.Branches) == len(df.branchCounts) {
+	tf.calls = fp.Calls
+	tf.seeded = fp.Calls
+	if 2*len(fp.Branches) == len(tf.branchCounts) {
 		for i, bc := range fp.Branches {
-			df.branchCounts[2*i] = bc.Taken
-			df.branchCounts[2*i+1] = bc.NotTaken
+			tf.branchCounts[2*i] = bc.Taken
+			tf.branchCounts[2*i+1] = bc.NotTaken
 		}
 		t.stats.WarmSeeded++
 	} else {
@@ -168,14 +187,14 @@ func (t *tierState) seedFunc(df *dfunc) {
 }
 
 // snapshot builds the function's profile from the live counters.
-func (df *dfunc) snapshot() profile.FuncProfile {
-	fp := profile.FuncProfile{Name: df.fn.Name, Calls: df.calls}
-	if n := len(df.branchCounts) / 2; n > 0 {
+func (tf *tierFunc) snapshot() profile.FuncProfile {
+	fp := profile.FuncProfile{Name: tf.fn.Name, Calls: tf.calls}
+	if n := len(tf.branchCounts) / 2; n > 0 {
 		fp.Branches = make([]profile.BranchCount, n)
 		for i := range fp.Branches {
 			fp.Branches[i] = profile.BranchCount{
-				Taken:    df.branchCounts[2*i],
-				NotTaken: df.branchCounts[2*i+1],
+				Taken:    tf.branchCounts[2*i],
+				NotTaken: tf.branchCounts[2*i+1],
 			}
 		}
 	}
@@ -187,11 +206,11 @@ func (df *dfunc) snapshot() profile.FuncProfile {
 // payload behind anno.KeyProfile — the annotation the runtime writes.
 func (m *Machine) ProfileSnapshot() *profile.ModuleProfile {
 	p := &profile.ModuleProfile{}
-	for _, df := range m.decoded {
-		if df.branchCounts == nil && df.calls == 0 {
-			continue
-		}
-		p.Funcs = append(p.Funcs, df.snapshot())
+	if m.tier == nil {
+		return p
+	}
+	for _, tf := range m.tier.funcs {
+		p.Funcs = append(p.Funcs, tf.snapshot())
 	}
 	sort.Slice(p.Funcs, func(i, j int) bool { return p.Funcs[i].Name < p.Funcs[j].Name })
 	return p
@@ -200,14 +219,14 @@ func (m *Machine) ProfileSnapshot() *profile.ModuleProfile {
 // promoteFunc moves one hot function to tier 2: snapshot the profile, let
 // the controller validate register allocation against it, then fuse the
 // hot adjacent pairs. Runs once per function, outside the steady state.
-func (m *Machine) promoteFunc(df *dfunc) {
+func (m *Machine) promoteFunc(tf *tierFunc) {
 	t := m.tier
-	df.promoted = true
+	tf.promoted = true
 	t.stats.Promotions++
-	t.stats.PromoteCallsSum += int64(df.calls - df.seeded)
-	fp := df.snapshot()
+	t.stats.PromoteCallsSum += int64(tf.calls - tf.seeded)
+	fp := tf.snapshot()
 	if t.promote != nil {
-		res := t.promote(df.fn, &fp)
+		res := t.promote(tf.fn, &fp)
 		if res.ReallocChecked {
 			t.stats.ReallocChecked++
 			if res.ReallocConfirmed {
@@ -217,7 +236,7 @@ func (m *Machine) promoteFunc(df *dfunc) {
 			}
 		}
 	}
-	t.stats.FusedPairs += int64(m.fuseFunc(df, &fp))
+	t.stats.FusedPairs += int64(fuseFunc(tf, &fp))
 }
 
 // fusedOp lists the fusible pairs: the first xop of each row may fuse
@@ -250,35 +269,35 @@ func fusedOp(first, second xop) xop {
 // error path — still see unfused code. A pair only fuses when its block
 // ran at least once per invocation on average and the partner is not a
 // branch target.
-func (m *Machine) fuseFunc(df *dfunc, fp *profile.FuncProfile) int {
-	freqs, err := profile.BlockFreqs(df.fn.Code, fp)
+func fuseFunc(tf *tierFunc, fp *profile.FuncProfile) int {
+	freqs, err := profile.BlockFreqs(tf.fn.Code, fp)
 	if err != nil {
 		// Warm-degraded counters: no edge information, nothing to fuse.
 		return 0
 	}
-	isTarget := make([]bool, len(df.code)+1)
-	for i := range df.code {
-		switch df.code[i].x {
+	isTarget := make([]bool, len(tf.code)+1)
+	for i := range tf.code {
+		switch tf.code[i].x {
 		case xJump, xBranchCmp:
-			if t := int(df.code[i].target); t >= 0 && t < len(isTarget) {
+			if t := int(tf.code[i].target); t >= 0 && t < len(isTarget) {
 				isTarget[t] = true
 			}
 		}
 	}
-	hot := int64(df.calls)
+	hot := int64(tf.calls)
 	if hot < 1 {
 		hot = 1
 	}
 	fused := 0
-	for i := 0; i+1 < len(df.code); i++ {
+	for i := 0; i+1 < len(tf.code); i++ {
 		if freqs[i] < hot || isTarget[i+1] {
 			continue
 		}
-		x := fusedOp(df.code[i].x, df.code[i+1].x)
+		x := fusedOp(tf.code[i].x, tf.code[i+1].x)
 		if x == xNop {
 			continue
 		}
-		df.code[i].x = x
+		tf.code[i].x = x
 		fused++
 		i++ // the partner record must stay original: never fuse it as a head
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cil"
 	"repro/internal/nisa"
@@ -25,8 +26,8 @@ import (
 //	    11: jump 6
 //	done 12: ret i
 func vecProgram() *nisa.Program {
-	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: i} }
-	v := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassVec, Index: i} }
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: int32(i)} }
+	v := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassVec, Index: int32(i)} }
 	f := &nisa.Func{
 		Name:   "vmax3",
 		Params: []cil.Type{cil.Array(cil.U8), cil.Array(cil.U8)},
@@ -331,5 +332,47 @@ func TestWarmProfileShapeMismatchDegrades(t *testing.T) {
 	// counts there is nothing to fuse.
 	if ts.Promotions != 1 || ts.PromoteCallsSum != 1 || ts.FusedPairs != 0 {
 		t.Fatalf("degraded promotion = %+v", ts)
+	}
+}
+
+// TestTieringKeepsSharedCodePristine: a tiered machine sharing its Code
+// with an untiered one counts and fuses private copies. The shared records
+// stay tier-1 records, and the untiered machine neither profiles nor
+// matches anything but a machine that decoded alone.
+func TestTieringKeepsSharedCodePristine(t *testing.T) {
+	tgt := target.MustLookup(target.PPC)
+	prog := handProgram()
+	code := NewCode(tgt)
+	plain, tiered := NewWithCode(prog, code), NewWithCode(prog, code)
+	alone := New(tgt, handProgram())
+	tiered.EnableTiering(profile.Policy{PromoteCalls: 2})
+	for call := 0; call < 4; call++ {
+		for _, m := range []*Machine{tiered, plain, alone} {
+			addr, want := sumInput(m)
+			if got, err := m.Call("sum", IntArg(int64(addr)), IntArg(10)); err != nil || got.I != want {
+				t.Fatalf("call %d: %v (%v), want %d", call, got, err, want)
+			}
+		}
+	}
+	if ts := tiered.TierStats(); ts.FusedPairs == 0 {
+		t.Fatalf("tiered machine fused nothing: %+v", ts)
+	}
+	if plain.Stats != alone.Stats || len(plain.ProfileSnapshot().Funcs) != 0 {
+		t.Errorf("untiered machine sharing the code: stats %+v, alone %+v", plain.Stats, alone.Stats)
+	}
+	for f, df := range *code.funcs.Load() {
+		for pc := range df.code {
+			if x := df.code[pc].x; x >= xFusedMovImmAdd {
+				t.Errorf("%s @%d: shared record fused to xop %d", f.Name, pc, x)
+			}
+		}
+	}
+}
+
+// TestDecodedInstructionFitsACacheLine pins the size of the records the
+// dispatch loop walks and every image keeps.
+func TestDecodedInstructionFitsACacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(dinstr{}); n > 64 {
+		t.Errorf("dinstr is %d bytes, want <= 64", n)
 	}
 }

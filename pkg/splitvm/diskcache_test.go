@@ -1,6 +1,9 @@
 package splitvm
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/diskcache"
+	"repro/internal/jit"
 	"repro/internal/target"
 )
 
@@ -427,5 +431,70 @@ func TestDiskCacheErrSurfaced(t *testing.T) {
 	}
 	if _, err := eng.Deploy(mod); err != nil {
 		t.Errorf("memory-only fallback deploy failed: %v", err)
+	}
+}
+
+// TestDiskNameCoversEveryDescField: every leaf field of the target
+// descriptor and its cost model takes part in the disk name, so a field
+// added later fails here instead of silently sharing entries; and the
+// names are the ones the reflective %#v spelling produced, so entries
+// written before stay readable.
+func TestDiskNameCoversEveryDescField(t *testing.T) {
+	reflective := func(key cacheKey) string {
+		h := sha256.New()
+		fmt.Fprintf(h, "%s|%x|%#v|%d|%t|%d|%t", diskFormat,
+			key.hash, key.desc, key.regAlloc, key.forceScalarize, key.minAnnoVersion, key.lazy)
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	base := cacheKey{hash: sha256.Sum256([]byte("module")), regAlloc: jit.RegAllocSplit, minAnnoVersion: 1}
+	for _, tgt := range target.All() {
+		key := base
+		key.desc = *tgt
+		key.desc.Name += ` "quoted" \ name`
+		if got, want := diskName(key), reflective(key); got != want {
+			t.Errorf("%s: disk name %s, the %%#v spelling gives %s", tgt.Arch, got, want)
+		}
+	}
+
+	base.desc = *target.MustLookup(target.X86SSE)
+	seen := map[string]string{diskName(base): "the base key"}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+			return
+		}
+		old := reflect.ValueOf(v.Interface())
+		switch v.Kind() {
+		case reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.String:
+			v.SetString(v.String() + "'")
+		default:
+			t.Fatalf("%s: field of kind %s: teach diskName and this test about it", path, v.Kind())
+		}
+		name := diskName(base)
+		if prev, dup := seen[name]; dup {
+			t.Errorf("changing %s gives the same disk name as %s", path, prev)
+		}
+		seen[name] = path
+		v.Set(old)
+	}
+	walk(reflect.ValueOf(&base.desc).Elem(), "Desc")
+	if n := reflect.TypeOf(target.Desc{}).NumField() + reflect.TypeOf(target.CostModel{}).NumField() - 1; len(seen) != n+1 {
+		t.Errorf("%d names for %d leaf fields", len(seen)-1, n)
+	}
+}
+
+// BenchmarkDiskName times the disk-cache key of one deployment.
+func BenchmarkDiskName(b *testing.B) {
+	key := cacheKey{hash: sha256.Sum256([]byte("module")), desc: *target.MustLookup(target.X86SSE)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		diskName(key)
 	}
 }

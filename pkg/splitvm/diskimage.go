@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/anno"
 	"repro/internal/cil"
@@ -71,16 +72,51 @@ type DiskCacheStats = diskcache.Stats
 
 // diskName derives the content address of one cache key: a hex SHA-256 over
 // the module hash, the full target descriptor (every machine parameter —
-// resized register files never share entries, mirroring the in-memory key;
-// %#v so that a field added to target.Desc can never be forgotten here) and
-// the JIT options, salted with the payload format version. Formatting the
-// descriptor reflectively is the expensive part, so Engine.image computes
-// the name once per deployment and hands it to whoever needs it.
+// resized register files never share entries, mirroring the in-memory key)
+// and the JIT options, salted with the payload format version. The
+// descriptor is spelled field by field as %#v prints it, so names stay those
+// already on disk; TestDiskNameCoversEveryDescField fails on a field added
+// to target.Desc or target.CostModel and not here.
 func diskName(key cacheKey) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|%x|%#v|%d|%t|%d|%t", diskFormat,
-		key.hash, key.desc, key.regAlloc, key.forceScalarize, key.minAnnoVersion, key.lazy)
-	return hex.EncodeToString(h.Sum(nil))
+	d, c := &key.desc, &key.desc.Cost
+	b := make([]byte, 0, 640)
+	b = append(b, diskFormat+"|"...)
+	b = hex.AppendEncode(b, key.hash[:])
+	b = strconv.AppendQuote(append(b, "|target.Desc{Arch:"...), string(d.Arch))
+	b = strconv.AppendQuote(append(b, ", Name:"...), d.Name)
+	b = appendFields(b, intField{", ClockMHz:", d.ClockMHz}, intField{", BytesPerInstr:", d.BytesPerInstr})
+	b = strconv.AppendBool(append(b, ", HasSIMD:"...), d.HasSIMD)
+	b = appendFields(b, intField{", VecBits:", d.VecBits}, intField{", IntRegs:", d.IntRegs},
+		intField{", FloatRegs:", d.FloatRegs}, intField{", VecRegs:", d.VecRegs},
+		intField{", Cost:target.CostModel{Move:", c.Move}, intField{", IntALU:", c.IntALU},
+		intField{", IntMul:", c.IntMul}, intField{", IntDiv:", c.IntDiv},
+		intField{", FloatALU:", c.FloatALU}, intField{", FloatMul:", c.FloatMul},
+		intField{", FloatDiv:", c.FloatDiv}, intField{", Convert:", c.Convert}, intField{", Load:", c.Load},
+		intField{", Store:", c.Store}, intField{", AddrCalcPenalty:", c.AddrCalcPenalty},
+		intField{", SubWordPenalty:", c.SubWordPenalty}, intField{", Call:", c.Call},
+		intField{", BranchTaken:", c.BranchTaken}, intField{", BranchNotTaken:", c.BranchNotTaken},
+		intField{", VecLoad:", c.VecLoad}, intField{", VecStore:", c.VecStore},
+		intField{", VecALU:", c.VecALU}, intField{", VecMul:", c.VecMul},
+		intField{", VecSplat:", c.VecSplat}, intField{", VecReduce:", c.VecReduce})
+	b = strconv.AppendInt(append(b, "}}|"...), int64(key.regAlloc), 10)
+	b = strconv.AppendBool(append(b, '|'), key.forceScalarize)
+	b = strconv.AppendUint(append(b, '|'), uint64(key.minAnnoVersion), 10)
+	b = strconv.AppendBool(append(b, '|'), key.lazy)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// intField is one int field of the descriptor as diskName spells it.
+type intField struct {
+	prefix string
+	v      int
+}
+
+func appendFields(b []byte, fs ...intField) []byte {
+	for _, f := range fs {
+		b = strconv.AppendInt(append(b, f.prefix...), int64(f.v), 10)
+	}
+	return b
 }
 
 // sameSignature reports whether compiled function f is an implementation of

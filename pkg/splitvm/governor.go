@@ -14,9 +14,6 @@ package splitvm
 // ungoverned one, so governed and ungoverned deployments share images.
 
 import (
-	"os"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -90,23 +87,6 @@ func WithRunDeadline(d time.Duration) DeployOption {
 		c.runDeadline = d
 	})
 }
-
-// envMemLimit is the SPLITVM_MEM_LIMIT override, read once per process: a
-// decimal byte count applied as the default guest memory limit of every
-// deployment, like SPLITVM_TIER does for tiering. CI uses it to prove the
-// governor's accounting never moves a gated metric. Unparsable values are
-// ignored.
-var envMemLimit = sync.OnceValue(func() int64 {
-	v := os.Getenv("SPLITVM_MEM_LIMIT")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-})
 
 // applyGovernor wires the resolved governor configuration onto a freshly
 // instantiated deployment (the per-machine half that is not in the image).

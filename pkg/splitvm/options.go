@@ -1,11 +1,10 @@
 package splitvm
 
 import (
-	"os"
-	"sync"
 	"time"
 
 	"repro/internal/anno"
+	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/target"
 )
@@ -119,15 +118,6 @@ type config struct {
 	diskDir   string
 }
 
-// envLazyCompile is the SPLITVM_LAZY override, read once per process: "1"
-// (or "on") makes every deployment lazy by default, like SPLITVM_TIER does
-// for tiering. CI uses it to prove lazy compilation never moves a gated
-// metric.
-var envLazyCompile = sync.OnceValue(func() bool {
-	v := os.Getenv("SPLITVM_LAZY")
-	return v == "1" || v == "on"
-})
-
 func defaultConfig() config {
 	return config{
 		vectorize:           true,
@@ -137,8 +127,8 @@ func defaultConfig() config {
 		annotationVersion:   anno.CurrentVersion,
 		arch:                target.X86SSE,
 		regAlloc:            RegAllocSplit,
-		lazyCompile:         envLazyCompile(),
-		memLimit:            envMemLimit(),
+		lazyCompile:         core.EnvLazy(),
+		memLimit:            core.EnvMemLimit(),
 	}
 }
 

@@ -161,8 +161,8 @@ func BenchmarkAblationVectorizedOnScalarJIT(b *testing.B) {
 // pre-decoded dispatch loop running each Table 1 kernel (vectorized
 // bytecode) on each Table 1 target, with -benchmem showing the loop's zero
 // steady-state allocations. Unlike every other benchmark in this file the
-// numbers are host-dependent; compare runs with benchstat. The same matrix
-// is recorded into BENCH_results.json by `dacbench -exp host`.
+// numbers are host-dependent; compare runs with benchstat. End-to-end
+// wall-clock claims come from the repository benchmark (benchmark/run.sh).
 func BenchmarkHostDispatch(b *testing.B) {
 	const n = 4096
 	for _, name := range kernels.Table1Names {
@@ -180,7 +180,7 @@ func BenchmarkHostDispatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			m := dep.Machine
-			args, _ := bench.MarshalKernelArgs(m, in)
+			args, _ := core.MarshalKernelArgs(m, in)
 			b.Run(name+"/"+string(tgt.Arch), func(b *testing.B) {
 				if _, err := m.Call(k.Entry, args...); err != nil {
 					b.Fatal(err)

@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"os"
 
-	"repro/pkg/splitvm"
+	"repro/internal/bench"
 )
 
 func main() {
@@ -39,10 +39,10 @@ func main() {
 	}
 	if *update {
 		// The baseline only gates the deterministic simulated metrics, so
-		// strip every non-gated section generically (host throughput,
-		// annotation trajectory, whatever is added next): committing
+		// strip every non-gated section generically (annotation trajectory,
+		// sections of older artifacts, whatever is added next): committing
 		// tracked-only numbers would be meaningless churn on every refresh.
-		data, err := splitvm.StripUngatedResults(current)
+		data, err := bench.StripUngated(current)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchdiff: current: %v\n", err)
 			os.Exit(2)
@@ -60,18 +60,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	base, err := splitvm.ParseResults(baseline)
+	base, err := bench.ParseResults(baseline)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: baseline: %v\n", err)
 		os.Exit(2)
 	}
-	cur, err := splitvm.ParseResults(current)
+	cur, err := bench.ParseResults(current)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: current: %v\n", err)
 		os.Exit(2)
 	}
 
-	rep := splitvm.CompareResults(base, cur, splitvm.DiffOptions{RelTol: *rel, AbsTol: *abs})
+	rep := bench.Compare(base, cur, bench.DiffOptions{RelTol: *rel, AbsTol: *abs})
 	if *all {
 		for _, row := range rep.Rows {
 			fmt.Printf("%-11s %-46s %12.0f %12.0f %+7.1f%%\n",

@@ -17,10 +17,10 @@ import (
 // outcome of deploying the current writer's streams, and the fallback
 // behavior of a deliberately unreadable stream from the future.
 //
-// The report is recorded in the results artifact (the "anno" section) but —
-// like the host-throughput section — never gated by the regression
-// comparison: its numbers change whenever the annotation schema evolves,
-// which is exactly when churning the committed baseline would be noise. The
+// The report is recorded in the results artifact (the "anno" section) but
+// never gated by the regression comparison: its numbers change whenever the
+// annotation schema evolves, which is exactly when churning the committed
+// baseline would be noise. The
 // correctness side of the same facts is gated elsewhere, by the golden
 // corpus test (go test ./internal/anno/ -run TestCorpus).
 type AnnoReport struct {

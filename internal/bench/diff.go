@@ -19,51 +19,23 @@ type Results struct {
 	RegAlloc *RegAllocReport `json:"regalloc,omitempty"`
 	CodeSize *CodeSizeReport `json:"codesize,omitempty"`
 	Hetero   *HeteroReport   `json:"hetero,omitempty"`
-	// Host carries the host-throughput measurement (wall-clock speed of the
-	// simulator itself). It is tracked in the artifact but host-dependent
-	// and noisy, so Metrics deliberately ignores it: the regression gate
-	// only compares the deterministic simulated metrics above. Artifacts
-	// written before this field existed simply decode with Host == nil.
-	Host *HostReport `json:"host,omitempty"`
 	// Anno tracks the annotation-container trajectory (encoded sizes per
-	// writer version, fallback counts). Like Host it is recorded but never
-	// gated: its numbers change exactly when the annotation schema evolves,
-	// and the correctness contract is enforced by the golden corpus test
-	// instead. New non-gated sections belong in this pattern — add them
-	// here and leave them out of both Metrics and gatedSections.
+	// writer version, fallback counts). It is recorded but never gated: its
+	// numbers change exactly when the annotation schema evolves, and the
+	// correctness contract is enforced by the golden corpus test instead.
+	// New non-gated sections belong in this pattern — add them here and
+	// leave them out of both Metrics and gatedSections. Sections an older
+	// artifact carries that this schema no longer knows (host, compile,
+	// tier, serve) are ignored on decode.
 	Anno *AnnoReport `json:"anno,omitempty"`
-	// Compile carries the compile-throughput measurement (wall-clock speed
-	// of the online JIT itself: ns/compile, allocs/compile, methods/sec,
-	// parallel-pipeline speedup). Host-dependent like Host, so tracked but
-	// never gated; what *is* gated about compilation — that the generated
-	// code stays bit-identical — is covered by the deterministic sections
-	// above plus the workers=1 vs workers=N comparison in CI.
-	Compile *CompileReport `json:"compile,omitempty"`
-	// Tier carries the tiered-execution measurement (promotion latency cold
-	// versus profile-warmed, tier-2 host speedup, fused pairs, profile
-	// sizes). Host-dependent like Host and Compile, so tracked but never
-	// gated; what *is* gated about tiering is its absence from every other
-	// number — CI re-runs the full gated benchdiff with tiering enabled and
-	// demands zero drift.
-	Tier *TierReport `json:"tier,omitempty"`
-	// Serve carries the serving-latency measurement (svd HTTP deploy/run
-	// percentiles, warm-restart speedup through the disk cache, router hop
-	// overhead). Host-dependent like Host, Compile and Tier, so tracked but
-	// never gated; what *is* gated about serving — warm restarts deploying
-	// from cache with zero compilations — is asserted by the svd-smoke CI
-	// job and the e2e warm-restart test.
-	Serve *ServeReport `json:"serve,omitempty"`
 }
 
 // gatedSections are the top-level artifact keys whose metrics the
 // regression gate compares (the sections Metrics flattens). Everything else
-// — host throughput, annotation trajectory, future tracked-only sections —
-// is recorded but never gated, and StripUngated removes it generically when
-// a baseline is refreshed.
+// — the annotation trajectory, sections of older artifacts, future
+// tracked-only sections — is recorded but never gated, and StripUngated
+// removes it generically when a baseline is refreshed.
 var gatedSections = []string{"table1", "figure1", "regalloc", "codesize", "hetero"}
-
-// GatedSections lists the artifact sections the regression gate compares.
-func GatedSections() []string { return append([]string(nil), gatedSections...) }
 
 // StripUngated removes every non-gated top-level section from a raw results
 // artifact, returning the canonical baseline form (sorted keys, indented).
@@ -106,8 +78,8 @@ type Metric struct {
 // Metrics flattens the artifact into named lower-is-better scalars, in a
 // stable order. The names are hierarchical (experiment/case/quantity) so a
 // regression report reads without cross-referencing the JSON. Only the
-// deterministic simulated metrics are included; the host-throughput section
-// (Results.Host) is wall-clock noise and never gated.
+// deterministic simulated metrics are included; the annotation trajectory
+// (Results.Anno) is tracked, never gated.
 func (r *Results) Metrics() []Metric {
 	var out []Metric
 	add := func(name string, v float64) { out = append(out, Metric{Name: name, Value: v}) }

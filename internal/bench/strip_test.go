@@ -8,24 +8,40 @@ import (
 )
 
 // TestStripUngated pins the generic baseline-refresh behavior: non-gated
-// sections (host, anno, and anything unknown from the future) disappear,
-// gated metrics survive bit-for-bit, and the output is stable.
+// sections (anno, the host/compile/tier/serve sections every older
+// artifact carries, and anything unknown from the future) disappear, gated
+// metrics survive bit-for-bit, and the output is stable. Older artifacts
+// still parse and still gate.
 func TestStripUngated(t *testing.T) {
-	artifact := map[string]any{
-		"table1": map[string]any{"rows": []any{map[string]any{
-			"kernel": "sum_u8",
-			"cells": []any{map[string]any{
-				"target": "x86-sse", "scalar_cycles": 100, "vector_cycles": 10, "relative": 10.0,
-			}},
-		}}},
-		"host":           map[string]any{"rows": []any{}},
-		"anno":           map[string]any{"writer_version": 1},
-		"future_section": map[string]any{"tracked": true},
+	var artifact map[string]any
+	gated, err := json.Marshal(sampleResults())
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := json.Unmarshal(gated, &artifact); err != nil {
+		t.Fatal(err)
+	}
+	artifact["host"] = map[string]any{"Cells": []any{map[string]any{"Kernel": "sum_u8", "SimMIPS": 200.0}}}
+	artifact["compile"] = map[string]any{"Cells": []any{}, "Parallel": map[string]any{"Speedup": 1.5}}
+	artifact["tier"] = map[string]any{"Cells": []any{map[string]any{"FusedPairs": 3}}}
+	artifact["serve"] = map[string]any{"WarmFromCache": true, "RouterBackends": 2}
+	artifact["anno"] = map[string]any{"writer_version": 1}
+	artifact["future_section"] = map[string]any{"tracked": true}
 	raw, err := json.Marshal(artifact)
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// An artifact written before the wall-clock sections were retired
+	// parses, and gates against the current schema with nothing new.
+	old, err := ParseResults(raw)
+	if err != nil {
+		t.Fatalf("older artifact rejected: %v", err)
+	}
+	if rep := Compare(sampleResults(), old, DiffOptions{}); rep.Failed() || rep.New != 0 {
+		t.Errorf("older artifact does not gate cleanly (%d new):\n%s", rep.New, rep)
+	}
+
 	stripped, err := StripUngated(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -37,22 +53,18 @@ func TestStripUngated(t *testing.T) {
 	if _, ok := kept["table1"]; !ok {
 		t.Error("gated section table1 was stripped")
 	}
-	for _, gone := range []string{"host", "anno", "future_section"} {
+	for _, gone := range []string{"host", "compile", "tier", "serve", "anno", "future_section"} {
 		if _, ok := kept[gone]; ok {
 			t.Errorf("non-gated section %q survived the strip", gone)
 		}
 	}
 
 	// The gated metrics are unchanged by the strip.
-	before, err := ParseResults(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
 	after, err := ParseResults(stripped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before.Metrics(), after.Metrics()) {
+	if !reflect.DeepEqual(old.Metrics(), after.Metrics()) {
 		t.Error("stripping changed the gated metrics")
 	}
 
@@ -79,7 +91,7 @@ func TestGatedSectionsCoverMetrics(t *testing.T) {
 		Hetero:   &HeteroReport{},
 	}
 	gated := map[string]bool{}
-	for _, s := range GatedSections() {
+	for _, s := range gatedSections {
 		gated[s] = true
 	}
 	for _, m := range full.Metrics() {

@@ -462,6 +462,31 @@ type KernelRun struct {
 	Outputs []*vm.Array
 }
 
+// MarshalKernelArgs copies a kernel's array inputs into the machine's heap
+// and builds the argument list for the kernel entry point, returning the
+// arguments and the simulated addresses of the copied arrays (in
+// in.Arrays order). It is the one marshalling protocol shared by RunKernel,
+// the wall-clock benchmarks and the differential tests.
+func MarshalKernelArgs(m *sim.Machine, in *kernels.Inputs) ([]sim.Value, []sim.Addr) {
+	args := make([]sim.Value, len(in.Args))
+	addrs := make([]sim.Addr, 0, len(in.Arrays))
+	arrIdx := 0
+	for i, a := range in.Args {
+		switch {
+		case a.Kind == cil.Ref:
+			addr := m.CopyInArray(in.Arrays[arrIdx])
+			addrs = append(addrs, addr)
+			arrIdx++
+			args[i] = sim.IntArg(int64(addr))
+		case a.Kind.IsFloat():
+			args[i] = sim.FloatArg(a.Float())
+		default:
+			args[i] = sim.IntArg(a.Int())
+		}
+	}
+	return args, addrs
+}
+
 // RunKernel marshals kernel inputs into the deployment's memory, runs the
 // kernel entry point once and returns the result, the cycles it took and the
 // output arrays. The inputs are not modified (they are cloned first).
@@ -472,22 +497,7 @@ func (d *Deployment) RunKernel(k kernels.Kernel, in *kernels.Inputs) (*KernelRun
 		d.rebuild()
 	}
 	work := in.Clone()
-	args := make([]sim.Value, len(work.Args))
-	addrs := make([]sim.Addr, 0, len(work.Arrays))
-	arrIdx := 0
-	for i, a := range work.Args {
-		switch {
-		case a.Kind == cil.Ref:
-			addr := d.Machine.CopyInArray(work.Arrays[arrIdx])
-			addrs = append(addrs, addr)
-			arrIdx++
-			args[i] = sim.IntArg(int64(addr))
-		case a.Kind.IsFloat():
-			args[i] = sim.FloatArg(a.Float())
-		default:
-			args[i] = sim.IntArg(a.Int())
-		}
-	}
+	args, addrs := MarshalKernelArgs(d.Machine, work)
 	before := d.Machine.Stats.Cycles
 	res, err := d.guardedCall(context.Background(), k.Entry, args...)
 	if err != nil {

@@ -9,7 +9,6 @@ package sim_test
 import (
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/cil"
 	"repro/internal/core"
 	"repro/internal/jit"
@@ -135,7 +134,7 @@ func BenchmarkKernelDispatch(b *testing.B) {
 			// Marshal the inputs once; the kernels in Table 1 execute the
 			// same instruction sequence regardless of array contents, so
 			// re-running over the same memory is a faithful steady state.
-			args, _ := bench.MarshalKernelArgs(dep.Machine, in)
+			args, _ := core.MarshalKernelArgs(dep.Machine, in)
 			b.Run(name+"/"+string(tgt.Arch), func(b *testing.B) {
 				m := dep.Machine
 				if _, err := m.Call(k.Entry, args...); err != nil {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/cil"
 	"repro/internal/core"
 	"repro/internal/jit"
@@ -81,11 +80,11 @@ func TestPreDecodedCoreMatchesReferenceInterpreter(t *testing.T) {
 }
 
 // runFast marshals the kernel inputs into the production machine (via the
-// shared bench.MarshalKernelArgs protocol), runs the entry point and copies
+// shared core.MarshalKernelArgs protocol), runs the entry point and copies
 // the arrays back out.
 func runFast(m *sim.Machine, k kernels.Kernel, in *kernels.Inputs) (sim.Value, sim.Stats, []*vm.Array, error) {
 	work := in.Clone()
-	args, addrs := bench.MarshalKernelArgs(m, work)
+	args, addrs := core.MarshalKernelArgs(m, work)
 	val, err := m.Call(k.Entry, args...)
 	if err != nil {
 		return sim.Value{}, sim.Stats{}, nil, err
@@ -906,7 +905,7 @@ func TestTable1CellsSteadyStateZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			args, _ := bench.MarshalKernelArgs(dep.Machine, in)
+			args, _ := core.MarshalKernelArgs(dep.Machine, in)
 			if _, err := dep.Machine.Call(k.Entry, args...); err != nil {
 				t.Fatal(err)
 			}

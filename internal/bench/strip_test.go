@@ -101,3 +101,69 @@ func TestGatedSectionsCoverMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestHostSectionIsTrackedNotGated pins the compatibility contract of the
+// host-throughput section older artifacts carry: it parses, never becomes
+// gated metrics, and gates cleanly against an artifact without it.
+func TestHostSectionIsTrackedNotGated(t *testing.T) {
+	checkRetiredSection(t, "host", map[string]any{
+		"Options": map[string]any{"N": 256, "Runs": 3},
+		"Cells": []any{map[string]any{
+			"Kernel": "saxpy_fp", "Target": "x86-sse", "Runs": 3,
+			"SimInstructions": 1000, "SimCycles": 4000,
+			"HostNanosPerRun": 12345, "SimMIPS": 100.0,
+		}},
+	})
+}
+
+// TestTierSectionIsTrackedNotGated is the same contract for the tier
+// section.
+func TestTierSectionIsTrackedNotGated(t *testing.T) {
+	checkRetiredSection(t, "tier", map[string]any{
+		"Options": map[string]any{"N": 256, "Runs": 3, "PromoteCalls": 2},
+		"Cells": []any{map[string]any{
+			"Kernel": "saxpy_fp", "Target": "x86-sse",
+			"SimCycles": 4000, "ColdPromoteCalls": 2, "WarmPromoteCalls": 1,
+			"Tier1NanosPerRun": 12345, "Tier2NanosPerRun": 11000, "Tier2Speedup": 1.12,
+			"FusedPairs": 3, "ReallocDiverged": 1, "ProfileBytes": 42,
+		}},
+	})
+}
+
+// checkRetiredSection adds a section of a retired experiment to an
+// otherwise current artifact and checks that it is ignored by the gate.
+func checkRetiredSection(t *testing.T, key string, section map[string]any) {
+	t.Helper()
+	baseline := sampleResults()
+	var artifact map[string]any
+	data, err := json.Marshal(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &artifact); err != nil {
+		t.Fatal(err)
+	}
+	artifact[key] = section
+	if data, err = json.Marshal(artifact); err != nil {
+		t.Fatal(err)
+	}
+	current, err := ParseResults(data)
+	if err != nil {
+		t.Fatalf("artifact with a %s section rejected: %v", key, err)
+	}
+	for _, m := range current.Metrics() {
+		if strings.HasPrefix(m.Name, key+"/") {
+			t.Errorf("%s metric %q leaked into the gated metric set", key, m.Name)
+		}
+	}
+	if got, want := len(current.Metrics()), len(baseline.Metrics()); got != want {
+		t.Errorf("%s section changed the gated metric count: %d != %d", key, got, want)
+	}
+	rep := Compare(baseline, current, DiffOptions{})
+	if rep.Failed() {
+		t.Fatalf("%s section must not fail the gate:\n%s", key, rep)
+	}
+	if rep.New != 0 {
+		t.Errorf("%s section produced %d unexpected new gated metrics", key, rep.New)
+	}
+}

@@ -430,11 +430,11 @@ func (d *Deployment) ResetCycles() { d.Machine.ResetStats() }
 
 // SpillSummary sums the static spill statistics over all compiled functions.
 func (d *Deployment) SpillSummary() (slots, loads, stores int) {
-	for _, f := range d.Program.Funcs {
+	d.eachFunc(func(f *nisa.Func) {
 		slots += f.Stats.SpillSlots
 		loads += f.Stats.SpillLoads
 		stores += f.Stats.SpillStores
-	}
+	})
 	return
 }
 
@@ -442,15 +442,34 @@ func (d *Deployment) SpillSummary() (slots, loads, stores int) {
 // use counts of spilled variables) over all compiled functions.
 func (d *Deployment) SpillWeight() int64 {
 	var total int64
-	for _, f := range d.Program.Funcs {
-		total += f.Stats.SpillWeight
-	}
+	d.eachFunc(func(f *nisa.Func) { total += f.Stats.SpillWeight })
 	return total
 }
 
 // NativeCodeBytes estimates the native code size of the deployment.
 func (d *Deployment) NativeCodeBytes() int {
-	return d.Program.CodeBytes(d.Target.BytesPerInstr)
+	total := 0
+	d.eachFunc(func(f *nisa.Func) { total += f.CodeBytes(d.Target.BytesPerInstr) })
+	return total
+}
+
+// eachFunc calls fn once on every compiled function of the deployment's
+// image, or of every unit of its link set. It reads the images, never the
+// machine's program: a lazy machine's resolver writes that map while it
+// runs, so code statistics stay safe to read beside a run.
+func (d *Deployment) eachFunc(fn func(*nisa.Func)) {
+	switch {
+	case d.linked != nil:
+		for _, u := range d.linked.Units {
+			u.Image.eachFunc(fn)
+		}
+	case d.Image != nil:
+		d.Image.eachFunc(fn)
+	default:
+		for _, f := range d.Program.Funcs {
+			fn(f)
+		}
+	}
 }
 
 // KernelRun is the result of running a kernel once on a deployment.

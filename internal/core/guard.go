@@ -101,7 +101,7 @@ func (d *Deployment) rebuild() {
 		d.Machine = sim.New(d.Target, d.Program)
 	}
 	if d.tierOpts != nil {
-		d.EnableTiering(*d.tierOpts)
+		d.applyTiering()
 	}
 	if d.memLimit > 0 {
 		d.Machine.MemLimit = d.memLimit

@@ -188,6 +188,25 @@ func (img *Image) MethodCounts() (compiled, total int) {
 	return compiled, total
 }
 
+// eachFunc calls fn once on every method of the image that has native
+// code: the whole program of an eager image, the ready methods of a lazy
+// one.
+func (img *Image) eachFunc(fn func(*nisa.Func)) {
+	if img.lazy == nil {
+		for _, f := range img.Program.Funcs {
+			fn(f)
+		}
+		return
+	}
+	img.lazy.mu.Lock()
+	defer img.lazy.mu.Unlock()
+	for _, e := range img.lazy.methods {
+		if e.state == MethodReady {
+			fn(e.f)
+		}
+	}
+}
+
 // LazyJITSteps sums the JIT-step counts of every method resolved so far,
 // including fleet-store hits (steps describe the code's original
 // compilation, mirroring how cache-hit eager deployments inherit the

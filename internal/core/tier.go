@@ -39,6 +39,17 @@ type TierOptions struct {
 // with them.
 func (d *Deployment) EnableTiering(opts TierOptions) {
 	d.tierOpts = &opts // remembered so a quarantine rebuild re-applies it
+	d.applyTiering()
+}
+
+// TieringEnabled reports whether the deployment profiles and promotes. It
+// reads the deployment's configuration, not its machine, which a run may
+// replace (a quarantine rebuild), so it is safe to call beside a run.
+func (d *Deployment) TieringEnabled() bool { return d.tierOpts != nil }
+
+// applyTiering configures the current machine from d.tierOpts.
+func (d *Deployment) applyTiering() {
+	opts := d.tierOpts
 	m := d.Machine
 	m.EnableTiering(opts.Policy)
 	if !opts.DisableReallocCheck {

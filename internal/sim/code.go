@@ -12,7 +12,7 @@ import (
 // Code is the pre-decoded form of one program's functions on one target:
 // the records decode.go lowers native code to, owned by whoever owns the
 // native code (an image or a link set in internal/core) and shared by every
-// machine executing it, so an idle machine holds registers, frames and heap,
+// machine executing it, so an idle machine holds its heap and statistics,
 // not a copy of the program. A function is decoded on its first call on
 // any of the machines and published once; readers take the published table
 // with one atomic load, no lock and no read-modify-write. Published records
@@ -22,11 +22,16 @@ type Code struct {
 
 	mu    sync.Mutex // serializes decoding and publication
 	funcs atomic.Pointer[map[*nisa.Func]*dfunc]
+
+	// frames lends frame stacks to the top-level calls of the Code's
+	// machines; every Code whose target has the same register files
+	// shares it.
+	frames *framePool
 }
 
 // NewCode returns an empty decoded-code table for programs compiled for t.
 func NewCode(t *target.Desc) *Code {
-	c := &Code{target: t}
+	c := &Code{target: t, frames: framePoolFor(t)}
 	c.funcs.Store(&map[*nisa.Func]*dfunc{})
 	return c
 }

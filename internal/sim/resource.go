@@ -3,8 +3,8 @@ package sim
 // Per-machine resource governance. A machine executing an untrusted module
 // must be able to bound what the guest consumes: simulated instructions
 // (MaxSteps, the budget the machine always had), guest memory (MemLimit,
-// covering the simulated heap and the pooled frame/argument buffers that
-// grow on the guest's behalf), and wall-clock time (a deadline on the run
+// covering the simulated heap and the frame, spill and argument buffers
+// its calls need), and wall-clock time (a deadline on the run
 // context, checked on the cancellation stride). Every breach is reported as
 // a typed *ResourceError so callers can map "the guest hit its limit" to a
 // different failure class than "the guest is broken".
@@ -91,22 +91,20 @@ const (
 	faultSiteMemGrow = "sim.memgrow"
 )
 
-// vecBytes is the host size of one pooled vector register / spill slot.
+// vecBytes is the host size of one vector register or spill slot.
 var vecBytes = int64(len(prim.Vec{}))
 
 // MemUsed returns the guest memory charged so far: simulated heap bytes
-// plus the pooled frame, spill and argument buffers grown on the guest's
-// behalf. Charging is deterministic, so an ungoverned run's MemUsed is
-// exactly the smallest MemLimit under which the same run still succeeds.
+// plus one frame per call depth the machine has used and the largest spill
+// area and argument buffer each depth has needed. Frames are borrowed per
+// top-level call, but the charge is the machine's own: it does not depend
+// on which frames a call ran on. Charging is deterministic, so an
+// ungoverned run's MemUsed is exactly the smallest MemLimit under which the
+// same run still succeeds.
 func (m *Machine) MemUsed() int64 { return m.memCharged }
 
-// frameBytes is the charge for one freshly grown activation record.
-func (m *Machine) frameBytes() int64 {
-	return int64(m.ni)*8 + int64(m.nf)*8 + int64(m.nv)*vecBytes
-}
-
 // memCheck is the per-activation limit check, called from the exec prologue
-// after the frame pool and spill area grew: it catches every charge the
+// after the frame and spill charges: it catches every charge the
 // allocation instruction's own pre-check does not cover. Only called when
 // MemLimit > 0.
 func (m *Machine) memCheck(f *nisa.Func) error {

@@ -12,11 +12,13 @@
 // Execution uses a pre-decoded core (see decode.go): each function is
 // lowered once, on its first call, into flat records with operand classes,
 // signedness, cycle costs and callee pointers resolved, and the dispatch
-// loop below runs those records with zero heap allocations in steady state
-// (frames and argument buffers are pooled per call depth). The records live
-// in a Code that every machine over the same image shares (code.go), so a
-// machine is its registers, frames, heap and statistics. The machine
-// assumes the program's code is not mutated after its first execution.
+// loop below runs those records with zero heap allocations in steady state.
+// The records live in a Code that every machine over the same image shares
+// (code.go). Frames are not kept either: a top-level call borrows a frame
+// stack from the pool its Code names and returns it when the call ends
+// (frames.go). A machine is its heap and statistics; an idle one holds no
+// registers. The machine assumes the program's code is not mutated after
+// its first execution.
 package sim
 
 import (
@@ -74,10 +76,11 @@ type Machine struct {
 	MaxSteps int64
 
 	// MemLimit bounds the guest memory the machine may consume (simulated
-	// heap plus the pooled frame and argument buffers), in bytes; a breach
-	// returns a *ResourceError with Kind ResourceMem, checked before the
-	// offending allocation so a hostile length never reaches the host
-	// allocator. 0 — the default — leaves guest memory ungoverned.
+	// heap plus the frame, spill and argument buffers its calls need), in
+	// bytes; a breach returns a *ResourceError with Kind ResourceMem,
+	// checked before the offending allocation so a hostile length never
+	// reaches the host allocator. 0 — the default — leaves guest memory
+	// ungoverned.
 	MemLimit int64
 
 	Stats Stats
@@ -88,16 +91,18 @@ type Machine struct {
 	// is bookkeeping, never part of the simulated statistics.
 	memCharged int64
 
-	// Register-file sizes (allocatable registers plus JIT scratch), fixed
-	// per target at construction.
-	ni, nf, nv int
-
 	// code is the pre-decoded form of the program's functions, shared with
 	// every machine instantiated over the same image (see Code).
 	code *Code
-	// frames pools one activation record per call depth, so the steady-state
-	// dispatch loop allocates nothing.
-	frames []*dframe
+	// frames is the frame stack of the running top-level call, borrowed
+	// from code's pool (frames.go); nil between calls.
+	frames *frameStack
+	// charged records, per call depth, what the governor has charged this
+	// machine for: a frame at every depth up to len(charged)-1, and the
+	// largest spill area and argument buffer each depth has needed. It
+	// keeps MemUsed the machine's own whichever borrowed frames a call ran
+	// on.
+	charged []frameCharge
 
 	// tier holds the profiling and promotion state of tiered execution
 	// (tier.go); nil — the default — runs plain tier 1.
@@ -182,8 +187,6 @@ func NewWithCode(prog *nisa.Program, code *Code) *Machine {
 	m := &Machine{Target: t, Program: prog, MaxSteps: defaultMaxSteps, interruptAt: math.MaxInt64, code: code}
 	// Address 0 is the null reference; start the heap past it.
 	m.mem = make([]byte, 64)
-	// The JIT reserves a few scratch registers beyond the allocatable files.
-	m.ni, m.nf, m.nv = t.IntRegs+4, t.FloatRegs+4, t.VecRegs+4
 	return m
 }
 
@@ -240,46 +243,6 @@ func (m *Machine) CopyOutArray(addr Addr, a *vm.Array) error {
 	return nil
 }
 
-// dframe is one pooled activation record: the register files, the spill
-// area, and the buffer the caller marshals this frame's arguments into.
-type dframe struct {
-	ints  []int64
-	flts  []float64
-	vecs  []prim.Vec
-	spill []prim.Vec
-	args  []argval
-}
-
-type argval struct {
-	i int64
-	f float64
-}
-
-// frameAt returns the pooled frame for a call depth, growing the pool on
-// first use of that depth.
-func (m *Machine) frameAt(depth int) *dframe {
-	for len(m.frames) <= depth {
-		m.frames = append(m.frames, &dframe{
-			ints: make([]int64, m.ni),
-			flts: make([]float64, m.nf),
-			vecs: make([]prim.Vec, m.nv),
-		})
-		m.memCharged += m.frameBytes()
-	}
-	return m.frames[depth]
-}
-
-// argBuf returns the frame's argument buffer resized to n entries, charging
-// the machine's memory accounting when the buffer grows.
-func (m *Machine) argBuf(fr *dframe, n int) []argval {
-	if cap(fr.args) < n {
-		fr.args = make([]argval, n)
-		m.memCharged += int64(n) * 16
-	}
-	fr.args = fr.args[:n]
-	return fr.args
-}
-
 // Call executes the named function with the given arguments and returns its
 // result (integers and addresses in I, floats in F).
 func (m *Machine) Call(name string, args ...Value) (Value, error) {
@@ -297,17 +260,19 @@ func (m *Machine) Call(name string, args ...Value) (Value, error) {
 	if len(args) != len(f.Params) {
 		return Value{}, fmt.Errorf("sim: %q expects %d arguments, got %d", name, len(f.Params), len(args))
 	}
-	av := m.argBuf(m.frameAt(m.callDep+1), len(args))
-	for i, a := range args {
-		av[i] = argval{i: a.I, f: a.F}
-	}
 	if m.callDep == 0 {
+		m.frames = m.code.frames.get()
+		defer m.returnFrames()
 		m.budgetEnd = math.MaxInt64 // a budget too large to ever run out
 		if steps := m.maxSteps(); steps < math.MaxInt64-m.Stats.Instructions {
 			m.budgetEnd = m.Stats.Instructions + steps
 		}
 	}
 	m.stopAt = min(m.budgetEnd, m.interruptAt)
+	av := m.argBuf(m.callDep+1, len(args))
+	for i, a := range args {
+		av[i] = argval{i: a.I, f: a.F}
+	}
 	return m.exec(f, av)
 }
 
@@ -394,9 +359,12 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 	clear(fr.ints)
 	clear(fr.flts)
 	clear(fr.vecs)
+	if c := &m.charged[m.callDep]; c.spill < f.FrameSlots {
+		c.spill = f.FrameSlots
+		m.memCharged += int64(f.FrameSlots) * vecBytes
+	}
 	if cap(fr.spill) < f.FrameSlots {
 		fr.spill = make([]prim.Vec, f.FrameSlots)
-		m.memCharged += int64(f.FrameSlots) * vecBytes
 	} else {
 		fr.spill = fr.spill[:f.FrameSlots]
 		clear(fr.spill)
@@ -766,7 +734,7 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 				}
 				site.callee.Store(callee)
 			}
-			cargs := m.argBuf(m.frameAt(m.callDep+1), len(site.args))
+			cargs := m.argBuf(m.callDep+1, len(site.args))
 			for i := range site.args {
 				src := &site.args[i]
 				if src.slot >= 0 {

@@ -229,14 +229,19 @@ func (dp *Deployment) Stats() Stats { return dp.d.Machine.Stats }
 func (dp *Deployment) JITSteps() int64 { return dp.d.JITSteps }
 
 // SpillSummary sums the static spill statistics over all compiled
-// functions: spilled variables, spill loads and spill stores.
+// functions: spilled variables, spill loads and spill stores. Like
+// NativeCodeBytes it counts the image's code, so on a lazy deployment it
+// covers the methods any deployment of the image has compiled so far.
 func (dp *Deployment) SpillSummary() (slots, loads, stores int) { return dp.d.SpillSummary() }
 
 // SpillWeight sums the estimated dynamic spill accesses (loop-depth
 // weighted use counts of spilled variables) over all compiled functions.
 func (dp *Deployment) SpillWeight() int64 { return dp.d.SpillWeight() }
 
-// NativeCodeBytes estimates the native code size of the deployment.
+// NativeCodeBytes estimates the native code size of the deployment's image
+// (of every image, on linked deployments). On a lazy deployment it counts
+// the methods compiled so far by any deployment of the image. It is safe
+// to call while the deployment runs.
 func (dp *Deployment) NativeCodeBytes() int { return dp.d.NativeCodeBytes() }
 
 // UsedSIMD reports whether the JIT mapped at least one portable vector

@@ -9,8 +9,8 @@ import (
 
 // idleDeploymentBytes returns the heap that each of n deployments of one
 // cached image retains once it has run and gone idle: its machine's
-// registers, frames, simulated heap and statistics, plus whatever else a
-// deployment keeps per machine. One deployment runs before the measurement,
+// simulated heap and statistics, plus whatever else a deployment keeps per
+// machine. One deployment runs before the measurement,
 // so what the image itself holds (module, native code, decoded code) is
 // not counted.
 func idleDeploymentBytes(tb testing.TB, n int) float64 {
@@ -52,8 +52,9 @@ func idleDeploymentBytes(tb testing.TB, n int) float64 {
 const idleDeploymentBytesPerMachineDecode = 14093
 
 // TestIdleDeploymentFootprint: a deployment that ran once and went idle
-// keeps registers, frames and heap; the image keeps the code. It retains at
-// most half of what it did when each machine held a decoded copy.
+// keeps its heap and statistics; the image keeps the code and lends the
+// frames. It retains at most half of what it did when each machine held a
+// decoded copy.
 func TestIdleDeploymentFootprint(t *testing.T) {
 	got := idleDeploymentBytes(t, 512)
 	t.Logf("%.0f B per idle deployment", got)

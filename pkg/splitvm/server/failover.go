@@ -27,6 +27,11 @@ const maxRunBackoff = 2 * time.Second
 func (rt *Router) resolveAlias(id string) string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	return rt.aliasEnd(id)
+}
+
+// aliasEnd is resolveAlias with rt.mu held.
+func (rt *Router) aliasEnd(id string) string {
 	for i := 0; i <= len(rt.alias); i++ {
 		next, ok := rt.alias[id]
 		if !ok {
@@ -74,7 +79,7 @@ func (rt *Router) failoverRun(ctx context.Context, id string, dead int, body []b
 	rt.mu.Unlock()
 	if !ok {
 		rt.countFailoverFailed()
-		return nil, fmt.Errorf("backend %s is unreachable and deployment %s predates this router (no re-create recipe)", rt.names[dead], id)
+		return nil, fmt.Errorf("backend %s is unreachable and this router has no re-create recipe for deployment %s (it predates the router or its backend evicted it)", rt.names[dead], id)
 	}
 
 	backoff := rt.cfg.RunBackoff
@@ -157,14 +162,17 @@ func (rt *Router) redeployOn(ctx context.Context, b int, meta deployMeta) (strin
 }
 
 // recordFailover aliases the failed deployment to its replacement and moves
-// the recipe with it, so future runs (and future failovers) follow.
+// the recipe with it, so future runs (and future failovers) follow. The
+// moved recipe is stamped anew: it is a recording on its new backend.
 func (rt *Router) recordFailover(oldID, newID string) {
 	b, _, ok := rt.splitDeployID(newID)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.alias[oldID] = newID
 	if meta, found := rt.meta[oldID]; found && ok {
+		rt.seq++
 		meta.backend = b
+		meta.seq = rt.seq
 		rt.meta[newID] = meta
 		delete(rt.meta, oldID)
 	}

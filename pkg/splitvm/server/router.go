@@ -39,7 +39,11 @@ import (
 // readmit it. For runs the router additionally fails over: it remembers how
 // every deployment it created can be re-created (module, target, options),
 // and when a backend dies mid-run it re-deploys the machine on the next
-// healthy replica and retries there, within the request deadline.
+// healthy replica and retries there, within the request deadline. A
+// recipe lives only as long as its deployment: after each successful health
+// probe the router reads the backend's deployment list and forgets the
+// recipes (and failover aliases) of deployments the backend no longer has,
+// so an evicted deployment is never re-created by a failover.
 type Router struct {
 	cfg    RouterConfig
 	ring   *hashRing
@@ -55,6 +59,7 @@ type Router struct {
 	mu                sync.Mutex
 	meta              map[string]deployMeta // namespaced id → re-create recipe
 	alias             map[string]string     // failed-over id → replacement id
+	seq               uint64                // last deployMeta.seq handed out
 	inflight          []int64
 	routed            []int64
 	retries           int64
@@ -66,12 +71,16 @@ type Router struct {
 
 // deployMeta is the recipe for re-creating one deployment elsewhere: the
 // original deploy request narrowed to this machine's target, plus where it
-// currently lives.
+// currently lives and when it was recorded there.
 type deployMeta struct {
 	backend int
 	module  string
 	target  string
 	req     DeployRequest
+	// seq orders the recipe among the router's records (Router.seq, under
+	// mu): reconcile drops only recipes recorded before the listing it read
+	// was requested.
+	seq uint64
 }
 
 // RouterConfig parameterizes a Router. Backends is required; everything
@@ -240,12 +249,94 @@ func (rt *Router) probeAll() {
 			}
 			if err == nil && resp.StatusCode == http.StatusOK {
 				rt.breakers[i].onSuccess()
+				rt.reconcile(i, base)
 			} else {
 				rt.breakers[i].onFailure(time.Now())
 			}
 		}(i, base)
 	}
 	wg.Wait()
+}
+
+// reconcile forgets the recipes of deployments backend b no longer lists
+// (its TTL sweeper evicted them, or it restarted without a journal), then
+// the aliases whose chains led to them. A recipe recorded after the listing
+// was requested survives whether or not the listing shows it: its seq is
+// above the stamp taken first. Without a recipe on b there is nothing to
+// reconcile, and no request is sent; a failed or malformed listing changes
+// nothing.
+func (rt *Router) reconcile(b int, base string) {
+	rt.mu.Lock()
+	stamp, tracked := rt.seq, false
+	for _, m := range rt.meta {
+		if m.backend == b {
+			tracked = true
+			break
+		}
+	}
+	rt.mu.Unlock()
+	if !tracked {
+		return
+	}
+	live, err := rt.listDeployments(base)
+	if err != nil {
+		return
+	}
+	prefix := len(rt.names[b]) + 1 // "b2." of "b2.d-000017"
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	dropped := false
+	for id, m := range rt.meta {
+		if m.backend == b && m.seq <= stamp && !live[id[prefix:]] {
+			delete(rt.meta, id)
+			dropped = true
+		}
+	}
+	if !dropped {
+		return
+	}
+	// Only the end of a chain holds a recipe (recordFailover moves it), so
+	// an alias goes exactly when its chain's end lost its recipe.
+	for id := range rt.alias {
+		if _, ok := rt.meta[rt.aliasEnd(id)]; !ok {
+			delete(rt.alias, id)
+		}
+	}
+}
+
+// listDeployments returns the backend-local ids of the deployments one
+// backend holds, bounded by HealthTimeout.
+func (rt *Router) listDeployments(base string) (map[string]bool, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.HealthTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/deployments", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("listing deployments: status %d", resp.StatusCode)
+	}
+	var body struct {
+		Deployments *[]struct {
+			ID string `json:"id"`
+		} `json:"deployments"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		return nil, err
+	}
+	if body.Deployments == nil {
+		return nil, errors.New("listing deployments: no deployment list in the answer")
+	}
+	live := make(map[string]bool, len(*body.Deployments))
+	for _, d := range *body.Deployments {
+		live[d.ID] = true
+	}
+	return live, nil
 }
 
 // snapshot derives the health vector from the breakers (open breakers past
@@ -484,11 +575,13 @@ func (rt *Router) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	for i := range dr.Deployments {
 		nsID := rt.prefixID(b, dr.Deployments[i].ID)
+		rt.seq++
 		rt.meta[nsID] = deployMeta{
 			backend: b,
 			module:  req.Module,
 			target:  dr.Deployments[i].Target,
 			req:     req,
+			seq:     rt.seq,
 		}
 		dr.Deployments[i].ID = nsID
 	}
@@ -799,6 +892,12 @@ type RouterStats struct {
 	Failovers         int64 `json:"failovers"`
 	FailoverRedeploys int64 `json:"failover_redeploys"`
 	FailoverFailed    int64 `json:"failover_failed"`
+	// Deployments counts the re-create recipes the router holds, one per
+	// live deployment it placed; Aliases counts the failed-over ids it
+	// still forwards to their replacements. Both shrink when a backend
+	// evicts deployments (see reconcile).
+	Deployments int `json:"deployments"`
+	Aliases     int `json:"aliases"`
 }
 
 // RouterStatsResponse is the router's /v1/stats payload: its own routing
@@ -819,6 +918,8 @@ func (rt *Router) Stats() RouterStats {
 		Failovers:         rt.failovers,
 		FailoverRedeploys: rt.failoverRedeploys,
 		FailoverFailed:    rt.failoverFailed,
+		Deployments:       len(rt.meta),
+		Aliases:           len(rt.alias),
 	}
 	for i, base := range rt.cfg.Backends {
 		state, fails, opens := rt.breakers[i].snapshot()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/pkg/splitvm"
 )
@@ -20,8 +21,8 @@ func newTestFleet(t *testing.T, n int, cfg Config) (*Router, *httptest.Server, [
 }
 
 // newTestFleetCfg is newTestFleet with router knobs (breaker thresholds,
-// deadlines) under test control. rcfg.Backends and HealthInterval are
-// overwritten.
+// deadlines, probing) under test control. rcfg.Backends is overwritten; a
+// zero HealthInterval disables active probing.
 func newTestFleetCfg(t *testing.T, n int, cfg Config, rcfg RouterConfig) (*Router, *httptest.Server, []*httptest.Server) {
 	t.Helper()
 	backends := make([]*httptest.Server, n)
@@ -37,7 +38,9 @@ func newTestFleetCfg(t *testing.T, n int, cfg Config, rcfg RouterConfig) (*Route
 		})
 	}
 	rcfg.Backends = urls
-	rcfg.HealthInterval = -1
+	if rcfg.HealthInterval == 0 {
+		rcfg.HealthInterval = -1
+	}
 	rt, err := NewRouter(rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +235,176 @@ func TestRouterConcurrentTraffic(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// evictingFleet is a two-backend fleet whose backends evict a deployment
+// 200 ms after its last run and whose router probes (and reconciles) every
+// 20 ms.
+func evictingFleet(t *testing.T) (*Router, *httptest.Server, []*httptest.Server) {
+	t.Helper()
+	return newTestFleetCfg(t, 2, Config{DeployTTL: 200 * time.Millisecond, DeploySweepInterval: 10 * time.Millisecond},
+		RouterConfig{HealthInterval: 20 * time.Millisecond})
+}
+
+// waitRouterTables polls the router's gauges until it holds want recipes
+// and aliases.
+func waitRouterTables(t *testing.T, rt *Router, deployments, aliases int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := rt.Stats()
+		if st.Deployments == deployments && st.Aliases == aliases {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("router holds %d recipes and %d aliases, want %d and %d", st.Deployments, st.Aliases, deployments, aliases)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// deployVia deploys through the router and returns the namespaced ids.
+func deployVia(t *testing.T, front *httptest.Server, req DeployRequest) []string {
+	t.Helper()
+	resp := postJSON(t, front.URL+"/v1/deploy", req)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("deploy: status %d", resp.StatusCode)
+	}
+	var ids []string
+	for _, d := range decodeJSON[DeployResponse](t, resp.Body).Deployments {
+		ids = append(ids, d.ID)
+	}
+	return ids
+}
+
+// runSumsq runs sumsq(3) on id through the router and returns the status.
+func runSumsq(t *testing.T, front *httptest.Server, id string) int {
+	t.Helper()
+	code, _, _ := runStatus(t, front.URL+"/v1/deployments/"+id+"/run", "", RunRequest{Entry: "sumsq", Args: []string{"3"}})
+	return code
+}
+
+// TestRouterForgetsEvictedDeployments: once the backends' TTL sweepers
+// evict every deployment, the router's health probes drop every recipe.
+// An evicted id still answers the backend's 404, and when its backend dies
+// the router has nothing to fail it over with: the deployment stays gone.
+func TestRouterForgetsEvictedDeployments(t *testing.T) {
+	rt, front, backends := evictingFleet(t)
+	mod := upload(t, front, encodeModule(t, sumsqSource))
+	ids := deployVia(t, front, DeployRequest{Module: mod, Targets: []string{"x86-sse", "mcu"}, Replicas: 2})
+	if st := rt.Stats(); st.Deployments != len(ids) {
+		t.Fatalf("router holds %d recipes after deploying %d", st.Deployments, len(ids))
+	}
+	waitRouterTables(t, rt, 0, 0)
+
+	resp, err := http.Get(front.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := decodeJSON[RouterStatsResponse](t, resp.Body)
+	resp.Body.Close()
+	if served.Router.Deployments != 0 || served.Router.Aliases != 0 {
+		t.Errorf("/v1/stats router gauges = %d recipes, %d aliases, want 0 and 0", served.Router.Deployments, served.Router.Aliases)
+	}
+	if got := runSumsq(t, front, ids[0]); got != http.StatusNotFound {
+		t.Errorf("run of an evicted deployment: status %d, want 404", got)
+	}
+
+	b, _, _ := rt.splitDeployID(ids[0])
+	backends[b].CloseClientConnections()
+	backends[b].Close()
+	if got := runSumsq(t, front, ids[0]); got != http.StatusBadGateway {
+		t.Errorf("run of an evicted deployment on a dead backend: status %d, want 502", got)
+	}
+	if st := rt.Stats(); st.FailoverRedeploys != 0 || st.Deployments != 0 {
+		t.Errorf("an evicted deployment was re-created: %+v", st)
+	}
+}
+
+// TestRouterForgetsAliasWithItsChainEnd: a failover leaves an alias from
+// the dead id to its replacement; when the replacement is evicted, the
+// router forgets both, and the old id no longer reaches anything.
+func TestRouterForgetsAliasWithItsChainEnd(t *testing.T) {
+	rt, front, backends := evictingFleet(t)
+	mod := upload(t, front, encodeModule(t, sumsqSource))
+	id := deployVia(t, front, DeployRequest{Module: mod, Targets: []string{"mcu"}})[0]
+	owner, _, _ := rt.splitDeployID(id)
+	backends[owner].CloseClientConnections()
+	backends[owner].Close()
+
+	if got := runSumsq(t, front, id); got != http.StatusOK {
+		t.Fatalf("run after backend death: status %d, want 200 via failover", got)
+	}
+	if st := rt.Stats(); st.Failovers != 1 || st.Deployments != 1 || st.Aliases != 1 {
+		t.Fatalf("after the failover: %+v, want one failover, recipe and alias", st)
+	}
+	waitRouterTables(t, rt, 0, 0)
+	if got := runSumsq(t, front, id); got != http.StatusBadGateway {
+		t.Errorf("run of the old id after its replacement was evicted: status %d, want 502", got)
+	}
+	if st := rt.Stats(); st.FailoverRedeploys != 1 {
+		t.Errorf("the evicted replacement was re-created: %d redeploys, want 1", st.FailoverRedeploys)
+	}
+}
+
+// TestRouterKeepsRecipeRecordedDuringListing: a deployment recorded while
+// a reconciling listing is in flight is absent from that listing, and its
+// recipe must survive it.
+func TestRouterKeepsRecipeRecordedDuringListing(t *testing.T) {
+	srv := New(splitvm.New(), Config{})
+	listed, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.URL.Path != "/v1/deployments" {
+			srv.ServeHTTP(w, r)
+			return
+		}
+		// Take the listing, then hold the answer until the test has
+		// recorded another deployment.
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		once.Do(func() {
+			close(listed)
+			<-release
+		})
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(func() {
+		backend.Close()
+		srv.Close()
+	})
+	rt, err := NewRouter(RouterConfig{Backends: []string{backend.URL}, HealthInterval: -1, HealthTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt)
+	t.Cleanup(func() {
+		front.Close()
+		rt.Close()
+	})
+	mod := upload(t, front, encodeModule(t, sumsqSource))
+	first := deployVia(t, front, DeployRequest{Module: mod, Targets: []string{"mcu"}})[0]
+
+	probed := make(chan struct{})
+	go func() {
+		rt.probeAll()
+		close(probed)
+	}()
+	<-listed
+	second := deployVia(t, front, DeployRequest{Module: mod, Targets: []string{"mcu"}})[0]
+	close(release)
+	<-probed
+
+	if st := rt.Stats(); st.Deployments != 2 {
+		t.Fatalf("router holds %d recipes after a listing without %s, want 2", st.Deployments, second)
+	}
+	// The next listing shows both; nothing is dropped.
+	rt.probeAll()
+	if st := rt.Stats(); st.Deployments != 2 {
+		t.Fatalf("router holds %d recipes for %s and %s, want 2", st.Deployments, first, second)
+	}
 }
 
 // TestRingBalance: 64 vnodes per backend must split the keyspace within a

@@ -835,13 +835,19 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListDeployments(w http.ResponseWriter, r *http.Request) {
+	// Take the list under the lock and describe it outside: describing
+	// reads every deployment's image, and runs and deploys wait on s.mu.
 	s.mu.Lock()
-	out := make([]DeploymentInfo, 0, len(s.deployOrder))
+	live := make([]*liveDeployment, 0, len(s.deployOrder))
 	for _, id := range s.deployOrder {
-		ld := s.deployments[id]
+		live = append(live, s.deployments[id])
+	}
+	s.mu.Unlock()
+	out := make([]DeploymentInfo, 0, len(live))
+	for _, ld := range live {
 		compiled, total := ld.dep.MethodCounts()
 		out = append(out, DeploymentInfo{
-			ID:                  id,
+			ID:                  ld.id,
 			Module:              ld.module,
 			Target:              string(ld.arch),
 			FromCache:           ld.dep.FromCache(),
@@ -858,7 +864,6 @@ func (s *Server) handleListDeployments(w http.ResponseWriter, r *http.Request) {
 			RunDeadlineMillis:   int64(ld.dep.RunDeadline() / time.Millisecond),
 		})
 	}
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, DeployResponse{Deployments: out})
 }
 

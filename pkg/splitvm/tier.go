@@ -76,7 +76,7 @@ func (c *config) applyTiering(d *core.Deployment) {
 func (m *Module) Profile() *Profile { return anno.ProfileOf(m.mod) }
 
 // TieringEnabled reports whether this deployment profiles and promotes.
-func (dp *Deployment) TieringEnabled() bool { return dp.d.Machine.TieringEnabled() }
+func (dp *Deployment) TieringEnabled() bool { return dp.d.TieringEnabled() }
 
 // TierStats returns a snapshot of the deployment's tiering activity.
 func (dp *Deployment) TierStats() TierStats { return dp.d.TierStats() }

@@ -458,18 +458,13 @@ func (d *Deployment) NativeCodeBytes() int {
 // machine's program: a lazy machine's resolver writes that map while it
 // runs, so code statistics stay safe to read beside a run.
 func (d *Deployment) eachFunc(fn func(*nisa.Func)) {
-	switch {
-	case d.linked != nil:
+	if d.linked != nil {
 		for _, u := range d.linked.Units {
 			u.Image.eachFunc(fn)
 		}
-	case d.Image != nil:
-		d.Image.eachFunc(fn)
-	default:
-		for _, f := range d.Program.Funcs {
-			fn(f)
-		}
+		return
 	}
+	d.Image.eachFunc(fn)
 }
 
 // KernelRun is the result of running a kernel once on a deployment.

@@ -38,7 +38,22 @@ type argval struct {
 // call.
 type frameStack struct {
 	frames []*dframe
+	// oversized is set when a call grew the stack past pooledDepth frames,
+	// or a spill area or argument buffer past pooledSlots entries; put
+	// trims such a stack before the pool keeps it.
+	oversized bool
 }
+
+// pooledDepth and pooledSlots bound what a pooled stack keeps between
+// calls: the frames of the first pooledDepth call depths, each with at most
+// pooledSlots spill slots and argument entries. Ordinary calls stay within
+// them and reuse everything; a deep recursion or a spill-heavy function
+// allocates its excess on every call instead of pinning it in a pool that
+// lives as long as the process.
+const (
+	pooledDepth = 16
+	pooledSlots = 256
+)
 
 // regShape is the size of a machine's three register files: the target's
 // allocatable registers plus the scratch registers the JIT reserves.
@@ -91,11 +106,31 @@ func (p *framePool) get() *frameStack {
 	return st
 }
 
-// put returns a stack to the pool.
+// put returns a stack to the pool, trimmed to its bounds.
 func (p *framePool) put(st *frameStack) {
+	if st.oversized {
+		st.trim()
+	}
 	p.mu.Lock()
 	p.free = append(p.free, st)
 	p.mu.Unlock()
+}
+
+// trim cuts a stack back to pooledDepth frames and drops every spill area
+// and argument buffer larger than pooledSlots entries.
+func (st *frameStack) trim() {
+	if len(st.frames) > pooledDepth {
+		st.frames = append([]*dframe(nil), st.frames[:pooledDepth]...)
+	}
+	for _, fr := range st.frames {
+		if cap(fr.spill) > pooledSlots {
+			fr.spill = nil
+		}
+		if cap(fr.args) > pooledSlots {
+			fr.args = nil
+		}
+	}
+	st.oversized = false
 }
 
 // frameCharge is the governor's record of one call depth of one machine:
@@ -122,6 +157,9 @@ func (m *Machine) frameAt(depth int) *dframe {
 	}
 	st := m.frames
 	for len(st.frames) <= depth {
+		if len(st.frames) >= pooledDepth {
+			st.oversized = true
+		}
 		st.frames = append(st.frames, &dframe{
 			ints: make([]int64, shape.ints),
 			flts: make([]float64, shape.flts),
@@ -142,6 +180,9 @@ func (m *Machine) argBuf(depth, n int) []argval {
 	}
 	if cap(fr.args) < n {
 		fr.args = make([]argval, n)
+		if n > pooledSlots {
+			m.frames.oversized = true
+		}
 	}
 	fr.args = fr.args[:n]
 	return fr.args

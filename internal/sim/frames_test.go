@@ -228,3 +228,91 @@ func TestBorrowedStackCannotRaiseCharges(t *testing.T) {
 		t.Errorf("one byte under its own charge = %v, want ResourceError{mem}", err)
 	}
 }
+
+// TestPoolKeepsNoDeepStack: a deep recursion or a spill-heavy function
+// grows the stack it borrowed, and the pool outlives every machine; what it
+// keeps must stay within pooledDepth frames of at most pooledSlots spill
+// slots and argument entries. A machine charged for a deep call keeps its
+// charge, and repeats the call on a trimmed stack with the same result and
+// charge.
+func TestPoolKeepsNoDeepStack(t *testing.T) {
+	r := func(i int) nisa.Reg { return nisa.Reg{Class: nisa.ClassInt, Index: int32(i)} }
+	prog := nisa.NewProgram("deep")
+	// down(n) recurses to depth n+1 and returns 0.
+	prog.Add(&nisa.Func{
+		Name:   "down",
+		Params: []cil.Type{cil.Scalar(cil.I32)},
+		Ret:    cil.Scalar(cil.I32),
+		Code: []nisa.Instr{
+			{Op: nisa.GetArg, Kind: cil.I32, Rd: r(0)},
+			{Op: nisa.MovImm, Kind: cil.I32, Rd: r(2)},
+			{Op: nisa.BranchCmp, Kind: cil.I32, Cond: nisa.CondLe, Ra: r(0), Rb: r(2), Target: 6},
+			{Op: nisa.MovImm, Kind: cil.I32, Rd: r(1), Imm: 1},
+			{Op: nisa.Sub, Kind: cil.I32, Rd: r(0), Ra: r(0), Rb: r(1)},
+			{Op: nisa.Call, Call: &nisa.CallInfo{Sym: "down", Args: []nisa.Reg{r(0)}}, Rd: r(0)},
+			{Op: nisa.Ret, Kind: cil.I32, Ra: r(0)},
+		},
+	})
+	// wide(n) keeps n in the last of a spill area larger than pooledSlots.
+	prog.Add(&nisa.Func{
+		Name:       "wide",
+		Params:     []cil.Type{cil.Scalar(cil.I32)},
+		Ret:        cil.Scalar(cil.I32),
+		FrameSlots: 4 * pooledSlots,
+		Code: []nisa.Instr{
+			{Op: nisa.GetArg, Kind: cil.I32, Rd: r(0)},
+			{Op: nisa.SpillStore, Rd: r(0), Imm: 4*pooledSlots - 1},
+			{Op: nisa.SpillLoad, Rd: r(1), Imm: 4*pooledSlots - 1},
+			{Op: nisa.Ret, Kind: cil.I32, Ra: r(1)},
+		},
+	})
+	code := NewCode(target.MustLookup(target.PPC))
+	pool := code.frames
+	checkPool := func(after string) {
+		t.Helper()
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+		if len(pool.free) == 0 {
+			t.Fatalf("after %s: the pool keeps no stack", after)
+		}
+		for _, st := range pool.free {
+			if len(st.frames) > pooledDepth {
+				t.Errorf("after %s: pooled stack keeps %d frames, bound %d", after, len(st.frames), pooledDepth)
+			}
+			for d, fr := range st.frames {
+				if cap(fr.spill) > pooledSlots || cap(fr.args) > pooledSlots {
+					t.Errorf("after %s: pooled frame %d keeps %d spill slots and %d argument entries, bound %d",
+						after, d, cap(fr.spill), cap(fr.args), pooledSlots)
+				}
+			}
+		}
+	}
+
+	m := NewWithCode(prog, code)
+	for _, c := range []struct {
+		name string
+		arg  int64
+		want int64
+	}{{"down", 200, 0}, {"wide", 7, 7}, {"down", 3, 0}} {
+		for rep := 0; rep < 2; rep++ {
+			before := m.MemUsed()
+			v, err := m.Call(c.name, IntArg(c.arg))
+			if err != nil || v.I != c.want {
+				t.Fatalf("%s(%d) = %d, %v; want %d", c.name, c.arg, v.I, err, c.want)
+			}
+			if rep == 1 && m.MemUsed() != before {
+				t.Errorf("repeated %s(%d) charged %d more bytes", c.name, c.arg, m.MemUsed()-before)
+			}
+			checkPool(fmt.Sprintf("%s(%d)", c.name, c.arg))
+		}
+	}
+	if want := 202 * pool.shape.frameBytes(); m.MemUsed() < want {
+		t.Errorf("MemUsed = %d after a 201-deep call, want at least %d", m.MemUsed(), want)
+	}
+
+	// A call that overflows the depth limit leaves the deepest stack of all.
+	if _, err := NewWithCode(prog, code).Call("down", IntArg(maxCallDepth+10)); err == nil {
+		t.Fatalf("down(%d) ran past the depth limit", maxCallDepth+10)
+	}
+	checkPool("a depth overflow")
+}

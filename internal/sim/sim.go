@@ -15,8 +15,8 @@
 // loop below runs those records with zero heap allocations in steady state.
 // The records live in a Code that every machine over the same image shares
 // (code.go). Frames are not kept either: a top-level call borrows a frame
-// stack from the pool its Code names and returns it when the call ends
-// (frames.go). A machine is its heap and statistics; an idle one holds no
+// stack from the pool its Code names and returns it, trimmed to a bounded
+// size, when the call ends (frames.go). A machine is its heap and statistics; an idle one holds no
 // registers. The machine assumes the program's code is not mutated after
 // its first execution.
 package sim
@@ -365,6 +365,9 @@ func (m *Machine) exec(f *nisa.Func, args []argval) (Value, error) {
 	}
 	if cap(fr.spill) < f.FrameSlots {
 		fr.spill = make([]prim.Vec, f.FrameSlots)
+		if f.FrameSlots > pooledSlots {
+			m.frames.oversized = true
+		}
 	} else {
 		fr.spill = fr.spill[:f.FrameSlots]
 		clear(fr.spill)

@@ -40,10 +40,11 @@ import (
 // every deployment it created can be re-created (module, target, options),
 // and when a backend dies mid-run it re-deploys the machine on the next
 // healthy replica and retries there, within the request deadline. A
-// recipe lives only as long as its deployment: after each successful health
-// probe the router reads the backend's deployment list and forgets the
-// recipes (and failover aliases) of deployments the backend no longer has,
-// so an evicted deployment is never re-created by a failover.
+// recipe lives about as long as its deployment: after each successful
+// health probe the router reads the backend's deployment list and forgets
+// the recipes (and failover aliases) of deployments the backend no longer
+// has. An evicted deployment is re-created by a failover only if its
+// backend dies before the next successful probe.
 type Router struct {
 	cfg    RouterConfig
 	ring   *hashRing
@@ -321,22 +322,63 @@ func (rt *Router) listDeployments(base string) (map[string]bool, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("listing deployments: status %d", resp.StatusCode)
 	}
-	var body struct {
-		Deployments *[]struct {
-			ID string `json:"id"`
-		} `json:"deployments"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	return decodeDeploymentIDs(json.NewDecoder(resp.Body))
+}
+
+// decodeDeploymentIDs reads the ids of a GET /v1/deployments answer one
+// entry at a time, so the decoder holds one entry, not the whole answer: a
+// backend may list thousands of deployments, and the router asks after
+// every health probe.
+func decodeDeploymentIDs(dec *json.Decoder) (map[string]bool, error) {
+	if err := expectDelim(dec, '{'); err != nil {
 		return nil, err
 	}
-	if body.Deployments == nil {
+	var live map[string]bool
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		if key != "deployments" {
+			var skip json.RawMessage
+			if err := dec.Decode(&skip); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if err := expectDelim(dec, '['); err != nil {
+			return nil, err
+		}
+		live = make(map[string]bool)
+		for dec.More() {
+			var d struct {
+				ID string `json:"id"`
+			}
+			if err := dec.Decode(&d); err != nil {
+				return nil, err
+			}
+			live[d.ID] = true
+		}
+		if err := expectDelim(dec, ']'); err != nil {
+			return nil, err
+		}
+	}
+	if live == nil {
 		return nil, errors.New("listing deployments: no deployment list in the answer")
 	}
-	live := make(map[string]bool, len(*body.Deployments))
-	for _, d := range *body.Deployments {
-		live[d.ID] = true
-	}
 	return live, nil
+}
+
+// expectDelim reads the next token and fails unless it is want.
+func expectDelim(dec *json.Decoder, want json.Delim) error {
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if tok != want {
+		return fmt.Errorf("listing deployments: got %v where %v belongs", tok, want)
+	}
+	return nil
 }
 
 // snapshot derives the health vector from the breakers (open breakers past

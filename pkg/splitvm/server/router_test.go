@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -409,6 +410,44 @@ func TestRouterKeepsRecipeRecordedDuringListing(t *testing.T) {
 
 // TestRingBalance: 64 vnodes per backend must split the keyspace within a
 // reasonable band (no backend owning more than ~2× its fair share).
+// TestDecodeDeploymentIDs: the router reads a listing's ids one entry at a
+// time, whatever other keys the answer carries, and rejects an answer
+// without a deployment list or cut short, so reconcile drops nothing on it.
+func TestDecodeDeploymentIDs(t *testing.T) {
+	cases := []struct {
+		body string
+		want []string // nil: an error
+	}{
+		{`{"deployments":[{"id":"d-000001","target":"mcu"},{"module":"m","id":"d-000007"}],"disk_hits":0}`, []string{"d-000001", "d-000007"}},
+		{`{"disk_hits":2,"deployments":[]}`, []string{}},
+		{`{"deployments":null,"disk_hits":0}`, nil},
+		{`{"disk_hits":0}`, nil},
+		{`{"deployments":[{"id":"d-000001"},{"id":"d-0`, nil},
+		{`[]`, nil},
+	}
+	for _, c := range cases {
+		live, err := decodeDeploymentIDs(json.NewDecoder(strings.NewReader(c.body)))
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("%s: decoded %v, want an error", c.body, live)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.body, err)
+			continue
+		}
+		if len(live) != len(c.want) {
+			t.Errorf("%s: decoded %v, want %v", c.body, live, c.want)
+		}
+		for _, id := range c.want {
+			if !live[id] {
+				t.Errorf("%s: %s missing from %v", c.body, id, live)
+			}
+		}
+	}
+}
+
 func TestRingBalance(t *testing.T) {
 	const backends, keys = 4, 4000
 	r := newHashRing(backends)

@@ -358,9 +358,7 @@ type errorBody struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
+	_ = json.NewEncoder(w).Encode(v) // the status line is already out; nothing to recover
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

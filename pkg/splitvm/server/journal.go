@@ -88,7 +88,6 @@ func (s *Server) openJournal(path string) {
 		return
 	}
 	s.jnl = j
-	s.moduleBytes = make(map[string][]byte)
 	s.replayJournal(recs)
 	s.compactJournal()
 }
@@ -96,30 +95,19 @@ func (s *Server) openJournal(path string) {
 // replayJournal applies the journal's records to the empty registries:
 // module records re-load encoded modules, deploy records re-instantiate
 // machines through the engine (a disk-cache hit when the cache survived
-// with the journal), evict records drop earlier deploys. Any record that
-// no longer applies is counted and skipped — replay degrades, it never
-// fails the boot.
+// with the journal), evict records drop earlier deploys. Each module is
+// decoded once, to list it and to check it still loads, and kept decoded
+// only while a restored deployment uses it. Any record that no longer
+// applies is counted and skipped — replay degrades, it never fails the
+// boot.
 func (s *Server) replayJournal(recs []journal.Record) {
-	type depState struct {
-		rec journalDeployRecord
-	}
 	var order []string
-	deploys := make(map[string]*depState)
+	var modules [][]byte
+	deploys := make(map[string]journalDeployRecord)
 	for _, rec := range recs {
 		switch rec.Op {
 		case journalOpModule:
-			m, err := s.eng.Load(rec.Data)
-			if err != nil {
-				s.replayFailed++
-				continue
-			}
-			id := m.Hash()
-			if _, ok := s.modules[id]; !ok {
-				s.modules[id] = m
-				s.moduleOrder = append(s.moduleOrder, id)
-				s.moduleBytes[id] = append([]byte(nil), rec.Data...)
-				s.replayedModules++
-			}
+			modules = append(modules, rec.Data)
 		case journalOpDeploy:
 			var dr journalDeployRecord
 			if err := json.Unmarshal(rec.Data, &dr); err != nil || dr.ID == "" {
@@ -129,7 +117,7 @@ func (s *Server) replayJournal(recs []journal.Record) {
 			if _, dup := deploys[dr.ID]; !dup {
 				order = append(order, dr.ID)
 			}
-			deploys[dr.ID] = &depState{rec: dr}
+			deploys[dr.ID] = dr
 		case journalOpEvict:
 			var er journalEvictRecord
 			if err := json.Unmarshal(rec.Data, &er); err != nil {
@@ -141,14 +129,31 @@ func (s *Server) replayJournal(recs []journal.Record) {
 			s.replayFailed++
 		}
 	}
+	used := make(map[string]bool)
+	for _, dr := range deploys {
+		used[dr.Module] = true
+	}
+	for _, data := range modules {
+		m, err := loadModule(s.eng, data)
+		if err != nil {
+			s.replayFailed++
+			continue
+		}
+		if sm, added := s.storeLocked(moduleInfo(m.Hash(), m), data); added {
+			s.replayedModules++
+			if used[sm.info.ID] {
+				sm.m = m
+			}
+		}
+	}
 
 	now := time.Now()
 	for _, id := range order {
-		st, ok := deploys[id]
+		dr, ok := deploys[id]
 		if !ok {
 			continue // evicted later in the log
 		}
-		ld, err := s.instantiateFromJournal(st.rec)
+		ld, err := s.instantiateFromJournal(dr)
 		if err != nil {
 			s.replayFailed++
 			continue
@@ -156,7 +161,7 @@ func (s *Server) replayJournal(recs []journal.Record) {
 		ld.lastUsed = now
 		s.deployments[id] = ld
 		s.deployOrder = append(s.deployOrder, id)
-		s.byModule[ld.module]++
+		s.modules[ld.module].live++
 		s.byTenant[ld.tenant]++
 		s.replayedDeployments++
 		var n int64
@@ -164,11 +169,16 @@ func (s *Server) replayJournal(recs []journal.Record) {
 			s.nextDep = n
 		}
 	}
+	for _, sm := range s.moduleOrder {
+		if sm.live == 0 {
+			sm.m = nil // every deployment of it failed to restore
+		}
+	}
 }
 
 // instantiateFromJournal rebuilds one machine from its deploy record.
 func (s *Server) instantiateFromJournal(dr journalDeployRecord) (*liveDeployment, error) {
-	m, ok := s.modules[dr.Module]
+	sm, ok := s.modules[dr.Module]
 	if !ok {
 		return nil, fmt.Errorf("module %s not in journal", dr.Module)
 	}
@@ -205,7 +215,7 @@ func (s *Server) instantiateFromJournal(dr journalDeployRecord) (*liveDeployment
 	if dr.RunDeadlineMillis > 0 {
 		opts = append(opts, splitvm.WithRunDeadline(time.Duration(dr.RunDeadlineMillis)*time.Millisecond))
 	}
-	dep, err := s.eng.Deploy(m, opts...)
+	dep, err := s.eng.Deploy(sm.m, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +225,7 @@ func (s *Server) instantiateFromJournal(dr journalDeployRecord) (*liveDeployment
 	}
 	return &liveDeployment{
 		id:                dr.ID,
-		module:            dr.Module,
+		module:            sm.info.ID,
 		tenant:            tenant,
 		arch:              arch,
 		dep:               dep,
@@ -239,10 +249,8 @@ func (s *Server) compactJournal() {
 		return
 	}
 	var recs []journal.Record
-	for _, id := range s.moduleOrder {
-		if data, ok := s.moduleBytes[id]; ok {
-			recs = append(recs, journal.Record{Op: journalOpModule, Data: data})
-		}
+	for _, sm := range s.moduleOrder {
+		recs = append(recs, journal.Record{Op: journalOpModule, Data: sm.data})
 	}
 	for _, id := range s.deployOrder {
 		ld := s.deployments[id]

@@ -139,8 +139,8 @@ type Server struct {
 
 	mu          sync.Mutex
 	closed      bool
-	modules     map[string]*splitvm.Module
-	moduleOrder []string
+	modules     map[string]*storedModule
+	moduleOrder []*storedModule
 	deployments map[string]*liveDeployment
 	deployOrder []string
 	pools       map[target.Arch]*pool
@@ -148,11 +148,10 @@ type Server struct {
 	rejected    int64
 	evicted     int64
 	// Quota accounting: live (registered) plus in-flight (reserved) deploy
-	// counts per module id and per tenant. Reservations are taken before the
-	// pools see a batch and converted into live counts at registration, so
-	// two racing batches cannot both squeeze under a cap.
+	// counts per tenant here, per module in storedModule.live. Reservations
+	// are taken before the pools see a batch and converted into live counts
+	// at registration, so two racing batches cannot both squeeze under a cap.
 	quotaRejected int64
-	byModule      map[string]int
 	byTenant      map[string]int
 
 	lat routeLatencies
@@ -162,7 +161,6 @@ type Server struct {
 	jnl                 *journal.Journal
 	journalErr          error
 	journalAppendErrs   int64
-	moduleBytes         map[string][]byte // raw uploads, retained for compaction
 	replayedModules     int
 	replayedDeployments int
 	replayFailed        int
@@ -173,11 +171,25 @@ type Server struct {
 	gateDeploy func()
 }
 
+// loadModule is Engine.Load, the decode and verify; tests wrap it to count.
+var loadModule = (*splitvm.Engine).Load
+
+// storedModule is one uploaded module: its encoded bytes for the life of
+// the process, its decoded form only while live (the quota's count of live
+// plus reserved deployments) is above 0. live and m are guarded by
+// Server.mu.
+type storedModule struct {
+	data []byte     // an exact-size copy of the upload; the journal writes it
+	info ModuleInfo // worked out at upload; info.ID is the store's key
+	live int
+	m    *splitvm.Module
+}
+
 // liveDeployment is one instantiated machine. Machines own mutable state
 // (memory, statistics), so the mutex serializes runs per deployment.
 type liveDeployment struct {
 	id     string
-	module string
+	module string // the store's key, shared rather than copied per request
 	tenant string
 	arch   target.Arch
 	// lastUsed is when the deployment was created or last asked to run,
@@ -213,10 +225,9 @@ func New(eng *splitvm.Engine, cfg Config) *Server {
 		cfg:         cfg,
 		baseCtx:     ctx,
 		cancel:      cancel,
-		modules:     make(map[string]*splitvm.Module),
+		modules:     make(map[string]*storedModule),
 		deployments: make(map[string]*liveDeployment),
 		pools:       make(map[target.Arch]*pool),
-		byModule:    make(map[string]int),
 		byTenant:    make(map[string]int),
 		adm:         newAdmission(cfg.MaxInflightPerTenant),
 	}
@@ -259,11 +270,12 @@ func (s *Server) sweepLoop() {
 }
 
 // evictIdle drops every deployment whose last use predates the cutoff and
-// returns how many it removed. An eviction only forgets the machine (its
-// simulated memory is garbage); the module and the cached JIT image are
-// untouched, so a client that raced the sweeper simply re-deploys and gets a
-// code-cache hit. In-flight runs hold their own reference and finish
-// normally; their result just belongs to a machine that is no longer listed.
+// returns how many it removed. An eviction forgets the machine (its
+// simulated memory is garbage), and a module's last one its decoded form;
+// the encoded module and the cached JIT image stay, so a client that raced
+// the sweeper simply re-deploys and gets a code-cache hit. In-flight runs
+// hold their own reference and finish normally; their result just belongs
+// to a machine that is no longer listed.
 func (s *Server) evictIdle(cutoff time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -273,8 +285,7 @@ func (s *Server) evictIdle(cutoff time.Time) int {
 		ld := s.deployments[id]
 		if ld.running == 0 && ld.lastUsed.Before(cutoff) {
 			delete(s.deployments, id)
-			s.byModule[ld.module]--
-			s.byTenant[ld.tenant]--
+			s.releaseLocked(s.modules[ld.module], ld.tenant, 1)
 			s.appendJournalJSON(journalOpEvict, journalEvictRecord{ID: id})
 			removed++
 			continue
@@ -406,9 +417,10 @@ func moduleInfo(id string, m *splitvm.Module) ModuleInfo {
 	}
 }
 
-// handleUpload ingests an encoded module: decode + verify once, then the
-// module is deployable any number of times. The body is the raw byte stream
-// produced by the offline compiler (svc -o …).
+// handleUpload ingests an encoded module: decode + verify to refuse a bad
+// one, then the store keeps the bytes and the module is deployable any
+// number of times. The body is the raw byte stream produced by the offline
+// compiler (svc -o …).
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxModuleBytes+1))
 	if err != nil {
@@ -423,36 +435,43 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty module body")
 		return
 	}
-	m, err := s.eng.Load(data)
+	m, err := loadModule(s.eng, data)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "loading module: %v", err)
 		return
 	}
-	id := m.Hash()
+	info := moduleInfo(m.Hash(), m)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	if _, ok := s.modules[id]; !ok {
-		s.modules[id] = m
-		s.moduleOrder = append(s.moduleOrder, id)
-		if s.jnl != nil {
-			s.moduleBytes[id] = append([]byte(nil), data...)
-			s.appendJournal(journalOpModule, data)
-		}
+	sm, added := s.storeLocked(info, data)
+	if added {
+		s.appendJournal(journalOpModule, sm.data)
 	}
-	m = s.modules[id]
 	s.mu.Unlock()
-	writeJSON(w, http.StatusCreated, moduleInfo(id, m))
+	writeJSON(w, http.StatusCreated, sm.info)
+}
+
+// storeLocked adds an upload to the store unless its id is there already,
+// and returns the entry. Caller holds s.mu.
+func (s *Server) storeLocked(info ModuleInfo, data []byte) (sm *storedModule, added bool) {
+	if old, ok := s.modules[info.ID]; ok {
+		return old, false
+	}
+	sm = &storedModule{data: append([]byte(nil), data...), info: info}
+	s.modules[info.ID] = sm
+	s.moduleOrder = append(s.moduleOrder, sm)
+	return sm, true
 }
 
 func (s *Server) handleListModules(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	out := make([]ModuleInfo, 0, len(s.moduleOrder))
-	for _, id := range s.moduleOrder {
-		out = append(out, moduleInfo(id, s.modules[id]))
+	for _, sm := range s.moduleOrder {
+		out = append(out, sm.info)
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"modules": out})
@@ -568,27 +587,28 @@ func tenantOf(r *http.Request) string {
 // reserveQuotaLocked admits n more deployments for (module, tenant) against
 // the configured caps, counting both live machines and reservations other
 // in-flight batches already hold. Caller holds s.mu.
-func (s *Server) reserveQuotaLocked(module, tenant string, n int) error {
-	if max := s.cfg.MaxDeploymentsPerModule; max > 0 && s.byModule[module]+n > max {
+func (s *Server) reserveQuotaLocked(sm *storedModule, tenant string, n int) error {
+	if max := s.cfg.MaxDeploymentsPerModule; max > 0 && sm.live+n > max {
 		return fmt.Errorf("module %s would exceed its deployment quota (%d live or pending, cap %d)",
-			module, s.byModule[module], max)
+			sm.info.ID, sm.live, max)
 	}
 	if max := s.cfg.MaxDeploymentsPerTenant; max > 0 && s.byTenant[tenant]+n > max {
 		return fmt.Errorf("tenant %q would exceed its deployment quota (%d live or pending, cap %d)",
 			tenant, s.byTenant[tenant], max)
 	}
-	s.byModule[module] += n
+	sm.live += n
 	s.byTenant[tenant] += n
 	return nil
 }
 
-// releaseQuota returns n reserved slots (a batch that failed before
-// registration).
-func (s *Server) releaseQuota(module, tenant string, n int) {
-	s.mu.Lock()
-	s.byModule[module] -= n
+// releaseLocked returns n live or reserved deployments of (sm, tenant) to
+// the quotas; the module's last one drops its decoded form. Caller holds
+// s.mu.
+func (s *Server) releaseLocked(sm *storedModule, tenant string, n int) {
+	if sm.live -= n; sm.live == 0 {
+		sm.m = nil
+	}
 	s.byTenant[tenant] -= n
-	s.mu.Unlock()
 }
 
 func regAllocMode(name string) (splitvm.RegAllocMode, error) {
@@ -665,7 +685,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	m, ok := s.modules[req.Module]
+	sm, ok := s.modules[req.Module]
 	if !ok {
 		s.mu.Unlock()
 		writeError(w, http.StatusNotFound, "unknown module %q (upload it first)", req.Module)
@@ -674,20 +694,32 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	// Admit the whole batch against the quotas before any pool sees it: a
 	// reservation taken here is either converted into live deployments at
 	// registration or released on any earlier exit.
-	if err := s.reserveQuotaLocked(req.Module, tenant, batchSize); err != nil {
+	if err := s.reserveQuotaLocked(sm, tenant, batchSize); err != nil {
 		s.quotaRejected++
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter.Seconds()+0.999)))
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
+	m := sm.m
 	s.mu.Unlock()
 	reserved := true
 	defer func() {
 		if reserved {
-			s.releaseQuota(req.Module, tenant, batchSize)
+			s.mu.Lock()
+			s.releaseLocked(sm, tenant, batchSize)
+			s.mu.Unlock()
 		}
 	}()
+	if m == nil { // idle: decode again; the reservation keeps live > 0 until release
+		if m, err = loadModule(s.eng, sm.data); err != nil {
+			writeError(w, http.StatusInternalServerError, "loading module: %v", err)
+			return
+		}
+		s.mu.Lock()
+		sm.m = m
+		s.mu.Unlock()
+	}
 
 	opts := []splitvm.DeployOption{
 		splitvm.WithRegAllocMode(mode),
@@ -772,7 +804,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		ld := &liveDeployment{
-			module:            req.Module,
+			module:            sm.info.ID,
 			tenant:            tenant,
 			arch:              pq.arch,
 			dep:               res.dep,
@@ -789,24 +821,9 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		if res.dep.FromDisk() {
 			diskHits++
 		}
-		compiled, total := res.dep.MethodCounts()
-		infos = append(infos, DeploymentInfo{
-			Module:              req.Module,
-			Target:              string(pq.arch),
-			FromCache:           res.dep.FromCache(),
-			FromDisk:            res.dep.FromDisk(),
-			JITSteps:            res.dep.JITSteps(),
-			CompileNanos:        res.dep.CompileNanos(),
-			NativeCodeBytes:     res.dep.NativeCodeBytes(),
-			AnnotationFallbacks: res.dep.AnnotationFallbacks(),
-			Tiering:             res.dep.TieringEnabled(),
-			ProfileFallback:     profileFallback,
-			Lazy:                res.dep.Lazy(),
-			MethodsCompiled:     compiled,
-			MethodsTotal:        total,
-			MemLimit:            res.dep.MemLimit(),
-			RunDeadlineMillis:   int64(res.dep.RunDeadline() / time.Millisecond),
-		})
+		info := describe(ld)
+		info.ProfileFallback = profileFallback
+		infos = append(infos, info)
 	}
 
 	// Register the whole batch atomically, so clients never observe half a
@@ -843,26 +860,31 @@ func (s *Server) handleListDeployments(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	out := make([]DeploymentInfo, 0, len(live))
 	for _, ld := range live {
-		compiled, total := ld.dep.MethodCounts()
-		out = append(out, DeploymentInfo{
-			ID:                  ld.id,
-			Module:              ld.module,
-			Target:              string(ld.arch),
-			FromCache:           ld.dep.FromCache(),
-			FromDisk:            ld.dep.FromDisk(),
-			JITSteps:            ld.dep.JITSteps(),
-			CompileNanos:        ld.dep.CompileNanos(),
-			NativeCodeBytes:     ld.dep.NativeCodeBytes(),
-			AnnotationFallbacks: ld.dep.AnnotationFallbacks(),
-			Tiering:             ld.dep.TieringEnabled(),
-			Lazy:                ld.dep.Lazy(),
-			MethodsCompiled:     compiled,
-			MethodsTotal:        total,
-			MemLimit:            ld.dep.MemLimit(),
-			RunDeadlineMillis:   int64(ld.dep.RunDeadline() / time.Millisecond),
-		})
+		out = append(out, describe(ld))
 	}
 	writeJSON(w, http.StatusOK, DeployResponse{Deployments: out})
+}
+
+// describe reports a deployment as the deploy and listing answers show it.
+func describe(ld *liveDeployment) DeploymentInfo {
+	compiled, total := ld.dep.MethodCounts()
+	return DeploymentInfo{
+		ID:                  ld.id,
+		Module:              ld.module,
+		Target:              string(ld.arch),
+		FromCache:           ld.dep.FromCache(),
+		FromDisk:            ld.dep.FromDisk(),
+		JITSteps:            ld.dep.JITSteps(),
+		CompileNanos:        ld.dep.CompileNanos(),
+		NativeCodeBytes:     ld.dep.NativeCodeBytes(),
+		AnnotationFallbacks: ld.dep.AnnotationFallbacks(),
+		Tiering:             ld.dep.TieringEnabled(),
+		Lazy:                ld.dep.Lazy(),
+		MethodsCompiled:     compiled,
+		MethodsTotal:        total,
+		MemLimit:            ld.dep.MemLimit(),
+		RunDeadlineMillis:   int64(ld.dep.RunDeadline() / time.Millisecond),
+	}
 }
 
 // RunRequest invokes one entry point with textual scalar arguments (parsed
@@ -1231,9 +1253,12 @@ type StatsResponse struct {
 	// offline toolchain than this server understands). The per-deployment
 	// annotation_fallbacks field counts sections instead, so the two units
 	// differ deliberately.
-	Compile     splitvm.CompileStats `json:"compile"`
-	Modules     int                  `json:"modules"`
-	Deployments int                  `json:"deployments"`
+	Compile splitvm.CompileStats `json:"compile"`
+	// Modules counts stored uploads; DecodedModules those held decoded,
+	// because a live or pending deployment uses them.
+	Modules        int `json:"modules"`
+	DecodedModules int `json:"decoded_modules"`
+	Deployments    int `json:"deployments"`
 	// Rejected counts batches refused with 429 for queue saturation since the
 	// server started; QuotaRejected counts batches refused for exceeding a
 	// per-module or per-tenant deployment quota.
@@ -1269,6 +1294,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := StatsResponse{Cache: s.eng.CacheStats(), Compile: s.eng.CompileStats()}
 	s.mu.Lock()
 	st.Modules = len(s.modules)
+	for _, sm := range s.moduleOrder {
+		if sm.m != nil {
+			st.DecodedModules++
+		}
+	}
 	st.Deployments = len(s.deployments)
 	st.Rejected = s.rejected
 	st.QuotaRejected = s.quotaRejected

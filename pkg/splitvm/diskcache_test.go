@@ -443,20 +443,21 @@ func TestDiskNameCoversEveryDescField(t *testing.T) {
 	reflective := func(key cacheKey) string {
 		h := sha256.New()
 		fmt.Fprintf(h, "%s|%x|%#v|%d|%t|%d|%t", diskFormat,
-			key.hash, key.desc, key.regAlloc, key.forceScalarize, key.minAnnoVersion, key.lazy)
+			key.hash, *key.desc, key.regAlloc, key.forceScalarize, key.minAnnoVersion, key.lazy)
 		return hex.EncodeToString(h.Sum(nil))
 	}
 	base := cacheKey{hash: sha256.Sum256([]byte("module")), regAlloc: jit.RegAllocSplit, minAnnoVersion: 1}
 	for _, tgt := range target.All() {
-		key := base
-		key.desc = *tgt
-		key.desc.Name += ` "quoted" \ name`
+		key, desc := base, *tgt
+		desc.Name += ` "quoted" \ name`
+		key.desc = &desc
 		if got, want := diskName(key), reflective(key); got != want {
 			t.Errorf("%s: disk name %s, the %%#v spelling gives %s", tgt.Arch, got, want)
 		}
 	}
 
-	base.desc = *target.MustLookup(target.X86SSE)
+	x86 := *target.MustLookup(target.X86SSE)
+	base.desc = &x86
 	seen := map[string]string{diskName(base): "the base key"}
 	var walk func(v reflect.Value, path string)
 	walk = func(v reflect.Value, path string) {
@@ -484,7 +485,7 @@ func TestDiskNameCoversEveryDescField(t *testing.T) {
 		seen[name] = path
 		v.Set(old)
 	}
-	walk(reflect.ValueOf(&base.desc).Elem(), "Desc")
+	walk(reflect.ValueOf(base.desc).Elem(), "Desc")
 	if n := reflect.TypeOf(target.Desc{}).NumField() + reflect.TypeOf(target.CostModel{}).NumField() - 1; len(seen) != n+1 {
 		t.Errorf("%d names for %d leaf fields", len(seen)-1, n)
 	}
@@ -492,7 +493,7 @@ func TestDiskNameCoversEveryDescField(t *testing.T) {
 
 // BenchmarkDiskName times the disk-cache key of one deployment.
 func BenchmarkDiskName(b *testing.B) {
-	key := cacheKey{hash: sha256.Sum256([]byte("module")), desc: *target.MustLookup(target.X86SSE)}
+	key := cacheKey{hash: sha256.Sum256([]byte("module")), desc: target.MustLookup(target.X86SSE)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		diskName(key)

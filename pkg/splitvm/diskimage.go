@@ -78,7 +78,7 @@ type DiskCacheStats = diskcache.Stats
 // already on disk; TestDiskNameCoversEveryDescField fails on a field added
 // to target.Desc or target.CostModel and not here.
 func diskName(key cacheKey) string {
-	d, c := &key.desc, &key.desc.Cost
+	d, c := key.desc, &key.desc.Cost
 	b := make([]byte, 0, 640)
 	b = append(b, diskFormat+"|"...)
 	b = hex.AppendEncode(b, key.hash[:])

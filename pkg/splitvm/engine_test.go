@@ -393,3 +393,36 @@ func TestInterpretRejectsArrays(t *testing.T) {
 		t.Error("array argument accepted by Interpret")
 	}
 }
+
+// TestInternedDescsFollowTheCache: deployments of one descriptor share the
+// engine's one copy of it, and the copy goes with the last cached image
+// keyed by it, or with ClearCache.
+func TestInternedDescsFollowTheCache(t *testing.T) {
+	eng := New(WithCacheSize(1))
+	m, err := eng.Compile(sumsqSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	descs := func() int {
+		eng.mu.Lock()
+		defer eng.mu.Unlock()
+		return len(eng.descs)
+	}
+	for _, arch := range onlineTargets {
+		a, err := eng.Deploy(m, WithTarget(arch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := eng.Deploy(m, WithTarget(arch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Target() != b.Target() || descs() != 1 {
+			t.Errorf("%s: shared descriptor %t, %d interned; want true, 1", arch, a.Target() == b.Target(), descs())
+		}
+	}
+	eng.ClearCache()
+	if n := descs(); n != 0 {
+		t.Errorf("%d descriptors interned after ClearCache, want 0", n)
+	}
+}

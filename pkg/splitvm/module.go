@@ -75,7 +75,9 @@ func newCompiledModule(res *core.OfflineResult) (*Module, error) {
 	return m, nil
 }
 
-func loadModule(encoded []byte) (*Module, error) {
+// loadModule decodes and verifies a private copy of encoded, whose SHA-256
+// is hash.
+func loadModule(encoded []byte, hash [sha256.Size]byte) (*Module, error) {
 	buf := append([]byte(nil), encoded...)
 	mod, err := cil.Decode(buf)
 	if err != nil {
@@ -84,15 +86,18 @@ func loadModule(encoded []byte) (*Module, error) {
 	if err := cil.Verify(mod); err != nil {
 		return nil, err
 	}
+	return newLoadedModule(mod, buf, hash, anno.TotalAnnotationBytes(mod)), nil
+}
+
+// newLoadedModule wraps a verified module with the bytes it was loaded from
+// (owned by the new module) and their hash.
+func newLoadedModule(mod *cil.Module, buf []byte, hash [sha256.Size]byte, annoBytes int) *Module {
 	return &Module{
 		mod:     mod,
 		encoded: buf,
-		hash:    sha256.Sum256(buf),
-		stats: ModuleStats{
-			EncodedBytes:    len(buf),
-			AnnotationBytes: anno.TotalAnnotationBytes(mod),
-		},
-	}, nil
+		hash:    hash,
+		stats:   ModuleStats{EncodedBytes: len(buf), AnnotationBytes: annoBytes},
+	}
 }
 
 // Name returns the module name.

@@ -137,8 +137,9 @@ func TestAnnotationInfoIsComputedOnDemand(t *testing.T) {
 // benchmark's small (1-2 methods), medium (16) and large (64) classes.
 var benchSizes = []int{1, 2, 16, 64}
 
-// BenchmarkLoad measures Engine.Load — decode, verify, hash — of generated
-// modules: the part of the online step every target repeats.
+// BenchmarkLoad measures Engine.Load — hash, decode, verify — of generated
+// modules on an engine with no image cached: what a Load the verified-module
+// index cannot answer costs.
 func BenchmarkLoad(b *testing.B) {
 	for _, n := range benchSizes {
 		compiled, err := New().Compile(genSource(n))
@@ -183,5 +184,39 @@ func BenchmarkColdDeploy(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkWarmLoadDeploy measures the online step of bytes whose image
+// the engine caches: a Load the verified-module index answers plus a
+// Deploy that hits the code cache.
+func BenchmarkWarmLoadDeploy(b *testing.B) {
+	for _, n := range []int{2, 16, 64} {
+		compiled, err := New().Compile(genSource(n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		enc := compiled.Encoded()
+		b.Run(fmt.Sprintf("methods=%d", n), func(b *testing.B) {
+			eng := New(WithTarget(target.X86SSE))
+			m, err := eng.Load(enc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Deploy(m); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := eng.Load(enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Deploy(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -32,17 +32,22 @@ type admission struct {
 
 // tenantGate is one tenant's slot pool. slots is buffered to capacity: a
 // send acquires a slot, a receive releases it. waiters bounds the
-// deadline-less queue (guarded by admission.mu).
+// deadline-less queue; users counts the requests that hold a slot, wait for
+// one or are about to try, and the last of them drops the gate, so the table
+// holds only tenants with requests in flight. Both are guarded by
+// admission.mu.
 type tenantGate struct {
 	slots   chan struct{}
 	waiters int
+	users   int
 }
 
 func newAdmission(capacity int) *admission {
 	return &admission{capacity: capacity, gates: make(map[string]*tenantGate)}
 }
 
-func (a *admission) gateFor(tenant string) *tenantGate {
+// enter returns the tenant's gate with the caller counted among its users.
+func (a *admission) enter(tenant string) *tenantGate {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	g, ok := a.gates[tenant]
@@ -50,7 +55,17 @@ func (a *admission) gateFor(tenant string) *tenantGate {
 		g = &tenantGate{slots: make(chan struct{}, a.capacity)}
 		a.gates[tenant] = g
 	}
+	g.users++
 	return g
+}
+
+// leave uncounts one user of the tenant's gate, which holds no slot of it.
+func (a *admission) leave(tenant string, g *tenantGate) {
+	a.mu.Lock()
+	if g.users--; g.users == 0 {
+		delete(a.gates, tenant)
+	}
+	a.mu.Unlock()
 }
 
 // acquire admits one request for the tenant. On admission it returns a
@@ -62,24 +77,36 @@ func (a *admission) acquire(ctx context.Context, tenant string) (release func(),
 	if a == nil || a.capacity <= 0 {
 		return func() {}, true
 	}
-	g := a.gateFor(tenant)
+	g := a.enter(tenant)
+	if !a.take(ctx, g) {
+		a.leave(tenant, g)
+		a.shed.Add(1)
+		return nil, false
+	}
+	return func() {
+		<-g.slots
+		a.leave(tenant, g)
+	}, true
+}
+
+// take takes one of g's slots, queueing for it if ctx allows, and reports
+// whether it got one.
+func (a *admission) take(ctx context.Context, g *tenantGate) bool {
 	select {
 	case g.slots <- struct{}{}:
-		return func() { <-g.slots }, true
+		return true
 	default:
 	}
 	// Saturated. A deadline-carrying request sheds now — its time budget is
 	// better spent retrying elsewhere than queueing here — and the
 	// deadline-less queue is capped at one full round of waiters.
 	if _, hasDeadline := ctx.Deadline(); hasDeadline {
-		a.shed.Add(1)
-		return nil, false
+		return false
 	}
 	a.mu.Lock()
 	if g.waiters >= a.capacity {
 		a.mu.Unlock()
-		a.shed.Add(1)
-		return nil, false
+		return false
 	}
 	g.waiters++
 	a.mu.Unlock()
@@ -90,10 +117,9 @@ func (a *admission) acquire(ctx context.Context, tenant string) (release func(),
 	}()
 	select {
 	case g.slots <- struct{}{}:
-		return func() { <-g.slots }, true
+		return true
 	case <-ctx.Done():
-		a.shed.Add(1)
-		return nil, false
+		return false
 	}
 }
 

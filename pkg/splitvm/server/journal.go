@@ -96,8 +96,8 @@ func (s *Server) openJournal(path string) {
 // module records re-load encoded modules, deploy records re-instantiate
 // machines through the engine (a disk-cache hit when the cache survived
 // with the journal), evict records drop earlier deploys. Each module is
-// decoded once, to list it and to check it still loads, and kept decoded
-// only while a restored deployment uses it. Any record that no longer
+// loaded once, to list it and to check it still loads, and that one load
+// serves every deployment restored from it. Any record that no longer
 // applies is counted and skipped — replay degrades, it never fails the
 // boot.
 func (s *Server) replayJournal(recs []journal.Record) {
@@ -129,10 +129,7 @@ func (s *Server) replayJournal(recs []journal.Record) {
 			s.replayFailed++
 		}
 	}
-	used := make(map[string]bool)
-	for _, dr := range deploys {
-		used[dr.Module] = true
-	}
+	loaded := make(map[string]*splitvm.Module)
 	for _, data := range modules {
 		m, err := loadModule(s.eng, data)
 		if err != nil {
@@ -141,9 +138,7 @@ func (s *Server) replayJournal(recs []journal.Record) {
 		}
 		if sm, added := s.storeLocked(moduleInfo(m.Hash(), m), data); added {
 			s.replayedModules++
-			if used[sm.info.ID] {
-				sm.m = m
-			}
+			loaded[sm.info.ID] = m
 		}
 	}
 
@@ -153,7 +148,7 @@ func (s *Server) replayJournal(recs []journal.Record) {
 		if !ok {
 			continue // evicted later in the log
 		}
-		ld, err := s.instantiateFromJournal(dr)
+		ld, err := s.instantiateFromJournal(dr, loaded[dr.Module])
 		if err != nil {
 			s.replayFailed++
 			continue
@@ -169,15 +164,11 @@ func (s *Server) replayJournal(recs []journal.Record) {
 			s.nextDep = n
 		}
 	}
-	for _, sm := range s.moduleOrder {
-		if sm.live == 0 {
-			sm.m = nil // every deployment of it failed to restore
-		}
-	}
 }
 
-// instantiateFromJournal rebuilds one machine from its deploy record.
-func (s *Server) instantiateFromJournal(dr journalDeployRecord) (*liveDeployment, error) {
+// instantiateFromJournal rebuilds one machine from its deploy record and
+// the module replay loaded for it.
+func (s *Server) instantiateFromJournal(dr journalDeployRecord, m *splitvm.Module) (*liveDeployment, error) {
 	sm, ok := s.modules[dr.Module]
 	if !ok {
 		return nil, fmt.Errorf("module %s not in journal", dr.Module)
@@ -215,7 +206,7 @@ func (s *Server) instantiateFromJournal(dr journalDeployRecord) (*liveDeployment
 	if dr.RunDeadlineMillis > 0 {
 		opts = append(opts, splitvm.WithRunDeadline(time.Duration(dr.RunDeadlineMillis)*time.Millisecond))
 	}
-	dep, err := s.eng.Deploy(sm.m, opts...)
+	dep, err := s.eng.Deploy(m, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -175,14 +175,13 @@ type Server struct {
 var loadModule = (*splitvm.Engine).Load
 
 // storedModule is one uploaded module: its encoded bytes for the life of
-// the process, its decoded form only while live (the quota's count of live
-// plus reserved deployments) is above 0. live and m are guarded by
-// Server.mu.
+// the process, and no decoded form. A deploy Loads the bytes, which costs
+// one hash while the engine caches an image of them. live (the quota's
+// count of live plus reserved deployments) is guarded by Server.mu.
 type storedModule struct {
 	data []byte     // an exact-size copy of the upload; the journal writes it
 	info ModuleInfo // worked out at upload; info.ID is the store's key
 	live int
-	m    *splitvm.Module
 }
 
 // liveDeployment is one instantiated machine. Machines own mutable state
@@ -271,11 +270,11 @@ func (s *Server) sweepLoop() {
 
 // evictIdle drops every deployment whose last use predates the cutoff and
 // returns how many it removed. An eviction forgets the machine (its
-// simulated memory is garbage), and a module's last one its decoded form;
-// the encoded module and the cached JIT image stay, so a client that raced
-// the sweeper simply re-deploys and gets a code-cache hit. In-flight runs
-// hold their own reference and finish normally; their result just belongs
-// to a machine that is no longer listed.
+// simulated memory is garbage); the encoded module and the cached JIT image
+// stay, so a client that raced the sweeper simply re-deploys and gets a
+// code-cache hit. In-flight runs hold their own reference and finish
+// normally; their result just belongs to a machine that is no longer
+// listed.
 func (s *Server) evictIdle(cutoff time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -602,13 +601,12 @@ func (s *Server) reserveQuotaLocked(sm *storedModule, tenant string, n int) erro
 }
 
 // releaseLocked returns n live or reserved deployments of (sm, tenant) to
-// the quotas; the module's last one drops its decoded form. Caller holds
-// s.mu.
+// the quotas; a tenant's last one drops its entry. Caller holds s.mu.
 func (s *Server) releaseLocked(sm *storedModule, tenant string, n int) {
-	if sm.live -= n; sm.live == 0 {
-		sm.m = nil
+	sm.live -= n
+	if s.byTenant[tenant] -= n; s.byTenant[tenant] == 0 {
+		delete(s.byTenant, tenant)
 	}
-	s.byTenant[tenant] -= n
 }
 
 func regAllocMode(name string) (splitvm.RegAllocMode, error) {
@@ -701,7 +699,6 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
-	m := sm.m
 	s.mu.Unlock()
 	reserved := true
 	defer func() {
@@ -711,14 +708,10 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 			s.mu.Unlock()
 		}
 	}()
-	if m == nil { // idle: decode again; the reservation keeps live > 0 until release
-		if m, err = loadModule(s.eng, sm.data); err != nil {
-			writeError(w, http.StatusInternalServerError, "loading module: %v", err)
-			return
-		}
-		s.mu.Lock()
-		sm.m = m
-		s.mu.Unlock()
+	m, err := loadModule(s.eng, sm.data)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "loading module: %v", err)
+		return
 	}
 
 	opts := []splitvm.DeployOption{
@@ -1254,8 +1247,9 @@ type StatsResponse struct {
 	// annotation_fallbacks field counts sections instead, so the two units
 	// differ deliberately.
 	Compile splitvm.CompileStats `json:"compile"`
-	// Modules counts stored uploads; DecodedModules those held decoded,
-	// because a live or pending deployment uses them.
+	// Modules counts stored uploads; DecodedModules the decoded modules the
+	// engine holds for its cached images, those a deploy Loads without
+	// decoding (CacheStats.VerifiedModules).
 	Modules        int `json:"modules"`
 	DecodedModules int `json:"decoded_modules"`
 	Deployments    int `json:"deployments"`
@@ -1294,11 +1288,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := StatsResponse{Cache: s.eng.CacheStats(), Compile: s.eng.CompileStats()}
 	s.mu.Lock()
 	st.Modules = len(s.modules)
-	for _, sm := range s.moduleOrder {
-		if sm.m != nil {
-			st.DecodedModules++
-		}
-	}
+	st.DecodedModules = st.Cache.VerifiedModules
 	st.Deployments = len(s.deployments)
 	st.Rejected = s.rejected
 	st.QuotaRejected = s.quotaRejected

@@ -93,6 +93,13 @@ type Engine struct {
 
 	mu    sync.Mutex
 	cache map[cacheKey]*cacheEntry
+	// descs holds the one copy of each target descriptor that cache keys
+	// point at; verified the modules that cached images were built from, by
+	// content hash, for Load. Each entry leaves with the last cache entry
+	// using it. loadHits counts the Loads verified answered.
+	descs    map[target.Desc]*internedDesc
+	verified map[[sha256.Size]byte]*verifiedModule
+	loadHits int64
 	// lru orders the completed cache entries, most recently used first;
 	// in-flight compilations live only in the map and are never evicted.
 	lru *list.List
@@ -131,6 +138,8 @@ func New(defaults ...Option) *Engine {
 	e := &Engine{
 		defaults: append([]Option(nil), defaults...),
 		cache:    make(map[cacheKey]*cacheEntry),
+		descs:    make(map[target.Desc]*internedDesc),
+		verified: make(map[[sha256.Size]byte]*verifiedModule),
 		lru:      list.New(),
 	}
 	cfg := e.config(nil)
@@ -257,9 +266,63 @@ func (e *Engine) CompileKernel(name string, opts ...CompileOption) (*Module, Ker
 }
 
 // Load decodes and verifies an encoded module (the device-side entry point
-// for byte streams produced elsewhere, e.g. read from a file).
+// for byte streams produced elsewhere, e.g. read from a file). While the
+// code cache holds an image of bytes with the same SHA-256, Load reuses its
+// verified module instead; the result behaves identically either way.
 func (e *Engine) Load(encoded []byte) (*Module, error) {
-	return loadModule(encoded)
+	hash := sha256.Sum256(encoded)
+	e.mu.Lock()
+	v := e.verified[hash]
+	if v != nil {
+		e.loadHits++
+	}
+	e.mu.Unlock()
+	if v == nil {
+		return loadModule(encoded, hash)
+	}
+	return newLoadedModule(v.mod, append([]byte(nil), encoded...), hash, v.annoBytes), nil
+}
+
+// verifiedModule is a verified module, its annotation byte count and the
+// number of cached images built from it.
+type verifiedModule struct {
+	mod       *cil.Module
+	annoBytes int
+	images    int
+}
+
+// internedDesc is a target descriptor and the number of cache keys using it.
+type internedDesc struct {
+	desc target.Desc
+	refs int
+}
+
+// pinLocked counts a newly published image of m in e.verified; images of
+// another decode of the same bytes do not count. Caller holds e.mu.
+func (e *Engine) pinLocked(ent *cacheEntry, m *Module) {
+	v := e.verified[ent.key.hash]
+	if v == nil {
+		v = &verifiedModule{mod: m.mod, annoBytes: m.stats.AnnotationBytes}
+		e.verified[ent.key.hash] = v
+	}
+	if ent.pinned = v.mod == m.mod; ent.pinned {
+		v.images++
+	}
+}
+
+// dropLocked removes an entry from e.cache and its counts from e.descs and
+// e.verified. Caller holds e.mu.
+func (e *Engine) dropLocked(ent *cacheEntry) {
+	delete(e.cache, ent.key)
+	d := e.descs[*ent.key.desc]
+	if d.refs--; d.refs == 0 {
+		delete(e.descs, d.desc)
+	}
+	if v := e.verified[ent.key.hash]; ent.pinned {
+		if v.images--; v.images == 0 {
+			delete(e.verified, ent.key.hash)
+		}
+	}
 }
 
 // Deploy runs the online stage: JIT-compile the module for the configured
@@ -350,14 +413,15 @@ func (e *Engine) buildImage(m *Module, tgt *target.Desc, jopts jit.Options, lazy
 }
 
 // cacheKey identifies one JIT compilation. The target description is keyed
-// by value, so two descriptors that differ in any machine parameter (for
+// by the engine's interned copy of it (Engine.descs), one per distinct
+// value, so two descriptors that differ in any machine parameter (for
 // example a WithIntRegs-resized register file) never share native code.
 // CompileWorkers is deliberately absent: the parallel compile pipeline
 // produces bit-identical programs for every worker count, so keying on it
 // would only duplicate images.
 type cacheKey struct {
 	hash           [sha256.Size]byte
-	desc           target.Desc
+	desc           *target.Desc
 	regAlloc       jit.RegAllocMode
 	forceScalarize bool
 	minAnnoVersion uint32
@@ -386,6 +450,9 @@ type cacheEntry struct {
 	// missed their write-through are demoted at eviction time instead.
 	// Written only by the goroutine that owns the compilation or eviction.
 	persisted bool
+	// pinned records that the image counts in Engine.verified (guarded by
+	// Engine.mu).
+	pinned bool
 }
 
 // image returns the JIT-compiled image for (module, target, options),
@@ -395,19 +462,19 @@ type cacheEntry struct {
 func (e *Engine) image(ctx context.Context, m *Module, tgt *target.Desc, jopts jit.Options, lazy bool) (*core.Image, bool, bool, error) {
 	key := cacheKey{
 		hash:           m.hash,
-		desc:           *tgt,
 		regAlloc:       jopts.RegAlloc,
 		forceScalarize: jopts.ForceScalarize,
 		minAnnoVersion: jopts.MinAnnotationVersion,
 		lazy:           lazy,
 	}
-	// The cached image must describe exactly the key it is stored under:
-	// build and instantiate from the key's private copy of the descriptor,
-	// never the caller's pointer, so later mutation of a WithTargetDesc
-	// argument cannot corrupt cached deployments.
-	tgt = &key.desc
 
 	e.mu.Lock()
+	d := e.descs[*tgt]
+	if d == nil { // no entry uses the descriptor yet: intern a copy
+		d = &internedDesc{desc: *tgt}
+		e.descs[d.desc] = d
+	}
+	key.desc = &d.desc
 	if ent, ok := e.cache[key]; ok {
 		if ent.elem != nil {
 			e.lru.MoveToFront(ent.elem)
@@ -429,6 +496,11 @@ func (e *Engine) image(ctx context.Context, m *Module, tgt *target.Desc, jopts j
 		e.mu.Unlock()
 		return ent.img, true, false, nil
 	}
+	d.refs++
+	// Build from the engine's copy of the descriptor, never the caller's
+	// pointer, so later mutation of a WithTargetDesc argument cannot
+	// corrupt cached deployments.
+	tgt = key.desc
 	ent := &cacheEntry{key: key, ready: make(chan struct{})}
 	e.cache[key] = ent
 	e.mu.Unlock()
@@ -479,7 +551,7 @@ func (e *Engine) image(ctx context.Context, m *Module, tgt *target.Desc, jopts j
 		// replaced a target) should retry. Delete only our own entry — a
 		// concurrent ClearCache may already have installed a new one.
 		if e.cache[key] == ent {
-			delete(e.cache, key)
+			e.dropLocked(ent)
 		}
 		e.misses++
 	case e.cache[key] == ent:
@@ -493,11 +565,12 @@ func (e *Engine) image(ctx context.Context, m *Module, tgt *target.Desc, jopts j
 		// entries are evictable; an in-flight compilation is pinned by its
 		// waiters.
 		ent.elem = e.lru.PushFront(ent)
+		e.pinLocked(ent, m)
 		for e.maxEntries > 0 && e.lru.Len() > e.maxEntries {
 			old := e.lru.Remove(e.lru.Back()).(*cacheEntry)
 			old.elem = nil
 			if e.cache[old.key] == old {
-				delete(e.cache, old.key)
+				e.dropLocked(old)
 			}
 			e.evictions++
 			if e.disk != nil && !old.persisted {
@@ -583,6 +656,10 @@ type CacheStats struct {
 	Entries int `json:"entries"`
 	// MaxEntries is the configured size bound (0 = unbounded).
 	MaxEntries int `json:"max_entries"`
+	// LoadHits counts Loads answered without a decode, by the module of a
+	// cached image; VerifiedModules is the number of such modules.
+	LoadHits        int64 `json:"load_hits"`
+	VerifiedModules int   `json:"verified_modules"`
 	// DiskHits counts deployments served from the persistent layer after a
 	// memory miss (each is also counted in Hits); always zero without
 	// WithDiskCache.
@@ -597,12 +674,14 @@ type CacheStats struct {
 func (e *Engine) CacheStats() CacheStats {
 	e.mu.Lock()
 	st := CacheStats{
-		Hits:       e.hits,
-		Misses:     e.misses,
-		Evictions:  e.evictions,
-		Entries:    e.lru.Len(),
-		MaxEntries: e.maxEntries,
-		DiskHits:   e.diskHits,
+		Hits:            e.hits,
+		Misses:          e.misses,
+		Evictions:       e.evictions,
+		Entries:         e.lru.Len(),
+		MaxEntries:      e.maxEntries,
+		DiskHits:        e.diskHits,
+		LoadHits:        e.loadHits,
+		VerifiedModules: len(e.verified),
 	}
 	e.mu.Unlock()
 	if e.disk != nil {
@@ -612,9 +691,10 @@ func (e *Engine) CacheStats() CacheStats {
 	return st
 }
 
-// ClearCache drops every cached native image (counters are kept; a clear is
-// not counted as eviction). In-flight compilations finish and are delivered
-// to their waiters but are not re-cached.
+// ClearCache drops every cached native image and the verified modules Load
+// shares from them (counters are kept; a clear is not counted as eviction).
+// In-flight compilations finish and are delivered to their waiters but are
+// not re-cached.
 func (e *Engine) ClearCache() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -622,5 +702,7 @@ func (e *Engine) ClearCache() {
 		elem.Value.(*cacheEntry).elem = nil
 	}
 	e.cache = make(map[cacheKey]*cacheEntry)
+	e.descs = make(map[target.Desc]*internedDesc)
+	e.verified = make(map[[sha256.Size]byte]*verifiedModule)
 	e.lru.Init()
 }
